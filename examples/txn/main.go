@@ -57,7 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 	balance := func(snap *hermitdb.Snapshot, id float64) float64 {
-		rids, _, err := tb.PointQueryAt(snap, 0, id)
+		rids, _, err := tb.RangeQueryAt(snap, 0, id, id)
 		if err != nil || len(rids) != 1 {
 			log.Fatalf("account %v: %v", id, err)
 		}

@@ -98,8 +98,10 @@ const (
 // DurableDB.Begin is the WAL-logged counterpart: the transaction's
 // mutations are logged as one txn-begin/commit group, and recovery
 // discards transactions whose commit record never reached the log.
-// Snapshots are first-class (WithSnapshot, DB.Snapshot, the *At query
-// variants), so several queries can observe one consistent state.
+// Snapshots are first-class (WithSnapshot, DB.Snapshot, and the *At
+// query variants RangeQueryAt and RangeQuery2At; a point query at a
+// snapshot is RangeQueryAt with lo == hi), so several queries can observe
+// one consistent state.
 type (
 	// Txn is a snapshot-isolation transaction (DB.Begin).
 	Txn = engine.Txn
@@ -159,8 +161,6 @@ type (
 	OpKind = engine.OpKind
 	// OpResult is the positional outcome of one Op.
 	OpResult = engine.OpResult
-	// RangeReq is one range predicate for Table.QueryConcurrent.
-	RangeReq = engine.RangeReq
 )
 
 // Batched-executor operation kinds.

@@ -74,13 +74,13 @@ func TestWarmSnapshotReadZeroAllocs(t *testing.T) {
 	allocs := measureAllocs(t, 200, func() {
 		i = (i*31 + 17) % 4096
 		var err error
-		dst, _, err = tb.PointQueryAtInto(snap, 0, float64(i), dst)
+		dst, _, err = tb.RangeQueryAtInto(snap, 0, float64(i), float64(i), dst)
 		if err != nil || len(dst) != 1 {
 			t.Fatalf("snapshot read: %v rows=%d", err, len(dst))
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm PointQueryAtInto allocates %.2f/op, want 0", allocs)
+		t.Fatalf("warm snapshot RangeQueryAtInto allocates %.2f/op, want 0", allocs)
 	}
 }
 

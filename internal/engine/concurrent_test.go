@@ -304,33 +304,33 @@ func TestExecuteBatchMalformedOps(t *testing.T) {
 	}
 }
 
-// TestQueryConcurrentAcrossIndexes issues batches that fan out over all
-// index kinds at once, the "concurrent readers on different indexes never
-// contend" property the latching is for.
-func TestQueryConcurrentAcrossIndexes(t *testing.T) {
+// TestExecuteBatchAcrossIndexes issues read-only batches that fan out
+// over all index kinds at once, the "concurrent readers on different
+// indexes never contend" property the latching is for.
+func TestExecuteBatchAcrossIndexes(t *testing.T) {
 	tb := buildConcurrentTable(t, 3000)
 	spec := workload.SyntheticSpec{}
-	var reqs []RangeReq
+	var ops []Op
 	gen := workload.QueryGen(0, workload.SyntheticSpan, 0.03, 5)
 	for i := 0; i < 120; i++ {
 		q := gen()
 		switch i % 3 {
 		case 0:
-			reqs = append(reqs, RangeReq{Col: spec.PKCol(), Lo: q.Lo, Hi: q.Hi})
+			ops = append(ops, Op{Kind: OpRange, Col: spec.PKCol(), Lo: q.Lo, Hi: q.Hi})
 		case 1:
-			reqs = append(reqs, RangeReq{Col: spec.HostCol(), Lo: 2*q.Lo + 100, Hi: 2*q.Hi + 100})
+			ops = append(ops, Op{Kind: OpRange, Col: spec.HostCol(), Lo: 2*q.Lo + 100, Hi: 2*q.Hi + 100})
 		default:
-			reqs = append(reqs, RangeReq{Col: spec.TargetCol(), Lo: q.Lo, Hi: q.Hi})
+			ops = append(ops, Op{Kind: OpRange, Col: spec.TargetCol(), Lo: q.Lo, Hi: q.Hi})
 		}
 	}
 	for _, workers := range []int{1, 4, 16} {
-		results := tb.QueryConcurrent(reqs, workers)
-		if len(results) != len(reqs) {
-			t.Fatalf("workers=%d: %d results for %d reqs", workers, len(results), len(reqs))
+		results := tb.ExecuteBatch(ops, workers)
+		if len(results) != len(ops) {
+			t.Fatalf("workers=%d: %d results for %d ops", workers, len(results), len(ops))
 		}
 		for i, r := range results {
 			if r.Err != nil {
-				t.Fatalf("workers=%d req %d: %v", workers, i, r.Err)
+				t.Fatalf("workers=%d op %d: %v", workers, i, r.Err)
 			}
 		}
 	}

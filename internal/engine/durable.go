@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"hermit/internal/block"
@@ -1229,9 +1230,10 @@ func (d *DurableDB) checkpointLocked() error {
 
 	// --- Write phase: delta blocks, blocklist, manifest. ---
 	newLog, newLists, flushed, err := d.writeEpoch(p, &cut)
-	if err != nil {
+	if newLists == nil {
 		return err
 	}
+	syncErr := err // published, but the rename may not be durable
 
 	// --- Publish: commit point passed, swap the in-memory state. ---
 	if !latched {
@@ -1280,6 +1282,11 @@ func (d *DurableDB) checkpointLocked() error {
 			return fmt.Errorf("engine: closing rotated wal: %w", err)
 		}
 	}
+	if syncErr != nil {
+		// Published, but the rename may not be durable: the previous
+		// epoch's files must stay for recovery.
+		return fmt.Errorf("engine: checkpoint manifest rename not durable: %w", syncErr)
+	}
 	d.gcStale()
 	d.kickCompactor()
 	return d.fp("after-gc")
@@ -1287,11 +1294,14 @@ func (d *DurableDB) checkpointLocked() error {
 
 // writeEpoch writes the cut's delta blocks, blocklist and manifest, and
 // returns the new segment's log (rotation only), the new blocklists, and
-// the flushed byte count. On error nothing has been published: any files
-// already written are unreferenced and will be garbage-collected.
+// the flushed byte count. A nil newLists means nothing has been published
+// (err says why): any files already written are unreferenced and will be
+// garbage-collected. The manifest rename is the commit point, so once it
+// succeeds newLists is returned even when the directory fsync after it
+// fails; err then reports that the rename may not be durable.
 func (d *DurableDB) writeEpoch(p durablePaths, cut *flushCut) (newLog *wal.Log, newLists map[string][]block.Desc, flushed int64, err error) {
 	defer func() {
-		if err != nil && newLog != nil {
+		if newLists == nil && newLog != nil {
 			newLog.Close()
 		}
 	}()
@@ -1340,7 +1350,9 @@ func (d *DurableDB) writeEpoch(p durablePaths, cut *flushCut) (newLog *wal.Log, 
 	// segment durable before the manifest can name them: without this
 	// ordering, a power loss right after the manifest rename could
 	// publish an epoch whose files the directory lost.
-	syncDir(d.dir)
+	if serr := syncDir(d.dir); serr != nil {
+		return newLog, nil, 0, serr
+	}
 	if ferr := d.fp("after-blocklist"); ferr != nil {
 		return newLog, nil, 0, ferr
 	}
@@ -1367,8 +1379,7 @@ func (d *DurableDB) writeEpoch(p durablePaths, cut *flushCut) (newLog *wal.Log, 
 	if werr := os.Rename(tmp, p.manifest()); werr != nil {
 		return newLog, nil, 0, werr
 	}
-	syncDir(d.dir)
-	return newLog, newLists, flushed, nil
+	return newLog, newLists, flushed, syncDir(d.dir)
 }
 
 // listsFor shapes the per-phys blocklist map for encoding: one List per
@@ -1506,7 +1517,9 @@ func (d *DurableDB) compactOnce() (bool, error) {
 	if err := writeFileSync(p.blocklist(next), rawList); err != nil {
 		return false, err
 	}
-	syncDir(d.dir)
+	if err := syncDir(d.dir); err != nil {
+		return false, err
+	}
 	if err := d.fp("compact-after-blocklist"); err != nil {
 		return false, err
 	}
@@ -1536,7 +1549,7 @@ func (d *DurableDB) compactOnce() (bool, error) {
 	if err := os.Rename(tmp, p.manifest()); err != nil {
 		return false, err
 	}
-	syncDir(d.dir)
+	syncErr := syncDir(d.dir)
 
 	d.mu.Lock()
 	d.epoch = next
@@ -1546,6 +1559,11 @@ func (d *DurableDB) compactOnce() (bool, error) {
 	d.compactedBytes.Add(mergedBytes)
 	if err := d.fp("compact-after-manifest-rename"); err != nil {
 		return true, err
+	}
+	if syncErr != nil {
+		// Published, but the rename may not be durable: the replaced
+		// blocks must stay for recovery.
+		return true, fmt.Errorf("engine: compaction manifest rename not durable: %w", syncErr)
 	}
 	d.gcStale()
 	return true, nil
@@ -1976,11 +1994,18 @@ func writeFileSync(path string, data []byte) error {
 	return f.Close()
 }
 
-// syncDir fsyncs a directory so a rename within it is durable. Best-effort
-// (some platforms reject directory fsync).
-func syncDir(dir string) {
-	if f, err := os.Open(dir); err == nil {
-		f.Sync()
-		f.Close()
+// syncDir fsyncs a directory so a rename within it is durable. An open or
+// fsync failure is returned: the rename may not survive a power loss. It
+// is best-effort only where the platform rejects directory fsync outright
+// (EINVAL or ENOTSUP), since no retry can make the call succeed there.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
+	if err := f.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

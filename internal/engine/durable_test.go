@@ -3,6 +3,7 @@ package engine
 import (
 	"math/rand"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"hermit/internal/hermit"
@@ -253,5 +254,24 @@ func TestDurableUnknownIndexKind(t *testing.T) {
 	}
 	if _, err := d.Insert("nope", []float64{1}); err == nil {
 		t.Fatal("insert into missing table accepted")
+	}
+}
+
+// TestSyncDirReportsErrors: a directory fsync that cannot happen is an
+// error, so a checkpoint never assumes a rename it could not make durable.
+func TestSyncDirReportsErrors(t *testing.T) {
+	dir := t.TempDir()
+	if err := syncDir(dir); err != nil {
+		t.Fatalf("syncDir on a live directory: %v", err)
+	}
+	gone := filepath.Join(dir, "gone")
+	if err := os.Mkdir(gone, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(gone); err != nil {
+		t.Fatal(err)
+	}
+	if err := syncDir(gone); err == nil {
+		t.Fatal("syncDir on a removed directory returned nil")
 	}
 }

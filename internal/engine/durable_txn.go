@@ -204,6 +204,33 @@ func (tx *DurableTxn) Commit() error {
 	return nil
 }
 
+// mutate implements batchTxn: the mutation routes by op.Table, so
+// resolve is unused.
+func (tx *DurableTxn) mutate(op Op, _ func(Op) (*Table, error)) (*Table, bool, error) {
+	switch op.Kind {
+	case OpInsert:
+		if err := tx.Insert(op.Table, op.Row); err != nil {
+			return nil, false, err
+		}
+		// The row's key is the last one buffered; its route is where the
+		// committed version lands.
+		tb, _, _ := tx.route(op.Table, tx.pks[len(tx.pks)-1])
+		return tb, false, nil
+	case OpDelete:
+		found, err := tx.Delete(op.Table, op.PK)
+		return nil, found, err
+	case OpUpdate:
+		return nil, false, tx.Update(op.Table, op.PK, op.Col, op.Value)
+	}
+	return nil, false, fmt.Errorf("engine: unknown op kind %d", op.Kind)
+}
+
+// commitBatch implements batchTxn.
+func (tx *DurableTxn) commitBatch() (CommitResult, error) {
+	err := tx.Commit()
+	return tx.res, err
+}
+
 // ExecuteBatch runs a batch of operations with the same atomicity contract
 // as DB.ExecuteBatch, durably: a batch containing mutations executes as
 // one DurableTxn (queries read the batch-start snapshot; mutations apply
@@ -211,81 +238,8 @@ func (tx *DurableTxn) Commit() error {
 // read-only batch drains across a pool of workers goroutines sharing one
 // snapshot.
 func (d *DurableDB) ExecuteBatch(ops []Op, workers int) []OpResult {
-	resolveQuery := func(op Op) (*Table, error) { return d.db.Table(op.Table) }
 	if !hasMutations(ops) {
-		snap := d.Snapshot()
-		defer snap.Release()
-		return runOps(ops, workers, func(op Op) OpResult {
-			tb, err := resolveQuery(op)
-			if err != nil {
-				return OpResult{Err: err}
-			}
-			return tb.queryOpAt(snap, op)
-		})
+		return d.db.ExecuteBatch(ops, workers)
 	}
-	results := make([]OpResult, len(ops))
-	tx := d.Begin()
-	defer tx.Rollback()
-	type ins struct {
-		i  int
-		t  *Table
-		pk float64
-	}
-	var (
-		inserts []ins
-		mutIdx  []int
-		failed  = -1
-	)
-	for i, op := range ops {
-		if !op.Kind.isMutation() {
-			if tb, err := resolveQuery(op); err != nil {
-				results[i].Err = err
-			} else {
-				results[i] = tb.queryOpAt(tx.Snapshot(), op)
-			}
-			continue
-		}
-		mutIdx = append(mutIdx, i)
-		switch op.Kind {
-		case OpInsert:
-			if results[i].Err = tx.Insert(op.Table, op.Row); results[i].Err == nil {
-				// Remember where the row routed so the committed version's
-				// RID can be reported (the last buffered record is this op's).
-				pk := tx.pks[len(tx.pks)-1]
-				if tb, _, err := tx.route(op.Table, pk); err == nil {
-					inserts = append(inserts, ins{i: i, t: tb, pk: pk})
-				}
-			}
-		case OpDelete:
-			results[i].Found, results[i].Err = tx.Delete(op.Table, op.PK)
-		case OpUpdate:
-			results[i].Err = tx.Update(op.Table, op.PK, op.Col, op.Value)
-		default:
-			results[i].Err = fmt.Errorf("engine: unknown op kind %d", op.Kind)
-		}
-		if results[i].Err != nil {
-			failed = i
-			break
-		}
-	}
-	if failed >= 0 {
-		abortBatch(ops, results, failed, func(op Op) OpResult {
-			tb, err := resolveQuery(op)
-			if err != nil {
-				return OpResult{Err: err}
-			}
-			return tb.queryOpAt(tx.Snapshot(), op)
-		})
-		return results
-	}
-	if err := tx.Commit(); err != nil {
-		for _, i := range mutIdx {
-			results[i].Err = err
-		}
-		return results
-	}
-	for _, in := range inserts {
-		results[in.i].RID = tx.Result().RIDs[in.t][in.pk]
-	}
-	return results
+	return executeAtomic(d.Begin(), ops, func(op Op) (*Table, error) { return d.db.Table(op.Table) })
 }

@@ -170,7 +170,7 @@ func (t *Table) queryOpAt(snap *Snapshot, op Op) OpResult {
 	case OpRange:
 		r.RIDs, r.Stats, r.Err = t.RangeQueryAt(snap, op.Col, op.Lo, op.Hi)
 	case OpPoint:
-		r.RIDs, r.Stats, r.Err = t.PointQueryAt(snap, op.Col, op.Lo)
+		r.RIDs, r.Stats, r.Err = t.RangeQueryAt(snap, op.Col, op.Lo, op.Lo)
 	case OpRange2:
 		r.RIDs, r.Stats, r.Err = t.RangeQuery2At(snap, op.Col, op.Lo, op.Hi, op.BCol, op.BLo, op.BHi)
 	default:
@@ -179,15 +179,58 @@ func (t *Table) queryOpAt(snap *Snapshot, op Op) OpResult {
 	return r
 }
 
-// executeAtomic runs a batch containing mutations as one transaction on
-// clock. resolve maps an op to its table. Queries read the transaction's
+// batchTxn is the transaction an atomic batch runs in: a *Txn over
+// in-memory tables, or a *DurableTxn, which also WAL-logs the group.
+type batchTxn interface {
+	Snapshot() *Snapshot
+	Rollback()
+	// mutate buffers one mutation op, resolving its table with resolve (a
+	// *DurableTxn routes by op.Table itself). For an insert it returns the
+	// table the row landed in, so the committed RID can be reported.
+	mutate(op Op, resolve func(Op) (*Table, error)) (inserted *Table, found bool, err error)
+	// commitBatch commits and reports where the writes landed.
+	commitBatch() (CommitResult, error)
+}
+
+// mutate implements batchTxn.
+func (x *Txn) mutate(op Op, resolve func(Op) (*Table, error)) (*Table, bool, error) {
+	tb, err := resolve(op)
+	if err != nil {
+		return nil, false, err
+	}
+	switch op.Kind {
+	case OpInsert:
+		if err := x.Insert(tb, op.Row); err != nil {
+			return nil, false, err
+		}
+		return tb, false, nil
+	case OpDelete:
+		found, err := x.Delete(tb, op.PK)
+		return nil, found, err
+	case OpUpdate:
+		return nil, false, x.Update(tb, op.PK, op.Col, op.Value)
+	}
+	return nil, false, fmt.Errorf("engine: unknown op kind %d", op.Kind)
+}
+
+// commitBatch implements batchTxn.
+func (x *Txn) commitBatch() (CommitResult, error) { return x.Commit() }
+
+// executeAtomic runs a batch containing mutations as the transaction x.
+// resolve maps an op to its table. Queries read the transaction's
 // snapshot; mutations buffer and commit together. Any mutation failure —
 // including an unresolvable table or a commit conflict — aborts the whole
 // transaction, leaving every mutation unapplied.
-func executeAtomic(clock *Clock, ops []Op, resolve func(Op) (*Table, error)) []OpResult {
+func executeAtomic(x batchTxn, ops []Op, resolve func(Op) (*Table, error)) []OpResult {
 	results := make([]OpResult, len(ops))
-	x := BeginTxn(clock)
 	defer x.Rollback()
+	query := func(op Op) OpResult {
+		tb, err := resolve(op)
+		if err != nil {
+			return OpResult{Err: err}
+		}
+		return tb.queryOpAt(x.Snapshot(), op)
+	}
 	type ins struct {
 		i  int
 		t  *Table
@@ -199,48 +242,26 @@ func executeAtomic(clock *Clock, ops []Op, resolve func(Op) (*Table, error)) []O
 		failed  = -1
 	)
 	for i, op := range ops {
-		tb, err := resolve(op)
-		if err != nil {
-			results[i].Err = err
-			if op.Kind.isMutation() {
-				failed = i
-				break
-			}
-			continue
-		}
 		if !op.Kind.isMutation() {
-			results[i] = tb.queryOpAt(x.Snapshot(), op)
+			results[i] = query(op)
 			continue
 		}
 		mutIdx = append(mutIdx, i)
-		switch op.Kind {
-		case OpInsert:
-			if results[i].Err = x.Insert(tb, op.Row); results[i].Err == nil {
-				inserts = append(inserts, ins{i: i, t: tb, pk: op.Row[tb.pkCol]})
-			}
-		case OpDelete:
-			results[i].Found, results[i].Err = x.Delete(tb, op.PK)
-		case OpUpdate:
-			results[i].Err = x.Update(tb, op.PK, op.Col, op.Value)
-		default:
-			results[i].Err = fmt.Errorf("engine: unknown op kind %d", op.Kind)
-		}
+		var tb *Table
+		tb, results[i].Found, results[i].Err = x.mutate(op, resolve)
 		if results[i].Err != nil {
 			failed = i
 			break
 		}
+		if tb != nil {
+			inserts = append(inserts, ins{i: i, t: tb, pk: op.Row[tb.pkCol]})
+		}
 	}
 	if failed >= 0 {
-		abortBatch(ops, results, failed, func(op Op) OpResult {
-			tb, err := resolve(op)
-			if err != nil {
-				return OpResult{Err: err}
-			}
-			return tb.queryOpAt(x.Snapshot(), op)
-		})
+		abortBatch(ops, results, failed, query)
 		return results
 	}
-	res, err := x.Commit()
+	res, err := x.commitBatch()
 	if err != nil {
 		for _, i := range mutIdx {
 			results[i].Err = err
@@ -264,7 +285,7 @@ func executeAtomic(clock *Clock, ops []Op, resolve func(Op) (*Table, error)) []O
 func (db *DB) ExecuteBatch(ops []Op, workers int) []OpResult {
 	resolve := func(op Op) (*Table, error) { return db.Table(op.Table) }
 	if hasMutations(ops) {
-		return executeAtomic(db.clock, ops, resolve)
+		return executeAtomic(db.Begin(), ops, resolve)
 	}
 	snap := db.Snapshot()
 	defer snap.Release()
@@ -282,38 +303,9 @@ func (db *DB) ExecuteBatch(ops []Op, workers int) []OpResult {
 func (t *Table) ExecuteBatch(ops []Op, workers int) []OpResult {
 	resolve := func(Op) (*Table, error) { return t, nil }
 	if hasMutations(ops) {
-		return executeAtomic(t.clock, ops, resolve)
+		return executeAtomic(BeginTxn(t.clock), ops, resolve)
 	}
 	snap := t.clock.Snapshot()
 	defer snap.Release()
 	return runOps(ops, workers, func(op Op) OpResult { return t.queryOpAt(snap, op) })
-}
-
-// QueryConcurrent serves a slice of single-column range queries against
-// one table on a pool of workers goroutines: the durable counterpart of
-// Table.QueryConcurrent.
-func (d *DurableDB) QueryConcurrent(table string, queries []RangeReq, workers int) []OpResult {
-	ops := make([]Op, len(queries))
-	for i, q := range queries {
-		ops[i] = Op{Table: table, Kind: OpRange, Col: q.Col, Lo: q.Lo, Hi: q.Hi}
-	}
-	return d.ExecuteBatch(ops, workers)
-}
-
-// QueryConcurrent serves a slice of single-column range queries on a pool
-// of workers goroutines, all reading one shared snapshot: the read-only
-// fast path of ExecuteBatch. Queries on different indexes proceed without
-// contention, and none of them can observe a concurrent batch partially.
-func (t *Table) QueryConcurrent(queries []RangeReq, workers int) []OpResult {
-	ops := make([]Op, len(queries))
-	for i, q := range queries {
-		ops[i] = Op{Kind: OpRange, Col: q.Col, Lo: q.Lo, Hi: q.Hi}
-	}
-	return t.ExecuteBatch(ops, workers)
-}
-
-// RangeReq is one single-column range predicate for QueryConcurrent.
-type RangeReq struct {
-	Col    int
-	Lo, Hi float64
 }

@@ -43,17 +43,17 @@ func TestSnapshotIsolationReads(t *testing.T) {
 	}
 
 	// The old snapshot still sees the pre-mutation state.
-	rids, _, err := tb.PointQueryAt(snap, 0, 10)
+	rids, _, err := tb.RangeQueryAt(snap, 0, 10, 10)
 	if err != nil || len(rids) != 1 {
 		t.Fatalf("snapshot pk 10: %d rids, err %v", len(rids), err)
 	}
 	if v, _ := tb.Store().Value(rids[0], 1); v != 20 {
 		t.Fatalf("snapshot read col a = %v, want pre-update 20", v)
 	}
-	if rids, _, _ := tb.PointQueryAt(snap, 0, 20); len(rids) != 1 {
+	if rids, _, _ := tb.RangeQueryAt(snap, 0, 20, 20); len(rids) != 1 {
 		t.Fatalf("snapshot lost deleted row: %d rids", len(rids))
 	}
-	if rids, _, _ := tb.PointQueryAt(snap, 0, 500); len(rids) != 0 {
+	if rids, _, _ := tb.RangeQueryAt(snap, 0, 500, 500); len(rids) != 0 {
 		t.Fatalf("snapshot sees later insert: %d rids", len(rids))
 	}
 
@@ -72,6 +72,21 @@ func TestSnapshotIsolationReads(t *testing.T) {
 func TestTxnCommitAtomicVisibility(t *testing.T) {
 	db, tb := newTxnTable(t)
 	const rounds = 30
+	// Generation g sets column b of rows 0..9 to 1000+g in one txn.
+	// Generation 0 commits before the reader starts: the seeded rows hold
+	// b = pk % 7, which no generation has made uniform yet.
+	commitGen := func(g int) {
+		x := db.Begin()
+		for pk := 0; pk < 10; pk++ {
+			if err := x.Update(tb, float64(pk), 2, 1000+float64(g)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := x.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commitGen(0)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -101,15 +116,7 @@ func TestTxnCommitAtomicVisibility(t *testing.T) {
 		}
 	}()
 	for g := 1; g <= rounds; g++ {
-		x := db.Begin()
-		for pk := 0; pk < 10; pk++ {
-			if err := x.Update(tb, float64(pk), 2, 1000+float64(g)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := x.Commit(); err != nil {
-			t.Fatal(err)
-		}
+		commitGen(g)
 	}
 	close(stop)
 	wg.Wait()
@@ -236,10 +243,10 @@ func TestVersionGC(t *testing.T) {
 	// superseded before it may go (none here are old enough to matter for
 	// the chains it reads).
 	db.GC()
-	if rids, _, _ := tb.PointQueryAt(snap, 0, 1); len(rids) != 1 {
+	if rids, _, _ := tb.RangeQueryAt(snap, 0, 1, 1); len(rids) != 1 {
 		t.Fatal("GC broke a pinned snapshot (update chain)")
 	}
-	if rids, _, _ := tb.PointQueryAt(snap, 0, 2); len(rids) != 1 {
+	if rids, _, _ := tb.RangeQueryAt(snap, 0, 2, 2); len(rids) != 1 {
 		t.Fatal("GC broke a pinned snapshot (deleted row)")
 	}
 	snap.Release()

@@ -379,21 +379,10 @@ func (t *Table) PointQuery(col int, v float64) ([]storage.RID, QueryStats, error
 	return t.RangeQuery(col, v, v)
 }
 
-// PointQueryAt is PointQuery reading at the caller's snapshot.
-func (t *Table) PointQueryAt(snap *Snapshot, col int, v float64) ([]storage.RID, QueryStats, error) {
-	return t.RangeQueryAt(snap, col, v, v)
-}
-
 // PointQueryInto is PointQuery with a caller-supplied result buffer (see
 // RangeQueryInto for the dst contract).
 func (t *Table) PointQueryInto(col int, v float64, dst []storage.RID) ([]storage.RID, QueryStats, error) {
 	return t.RangeQueryInto(col, v, v, dst)
-}
-
-// PointQueryAtInto is PointQueryAt with a caller-supplied result buffer
-// (see RangeQueryInto for the dst contract).
-func (t *Table) PointQueryAtInto(snap *Snapshot, col int, v float64, dst []storage.RID) ([]storage.RID, QueryStats, error) {
-	return t.RangeQueryAtInto(snap, col, v, v, dst)
 }
 
 // baselineRange executes the conventional secondary-index plan: index

@@ -28,23 +28,26 @@ func CreateDurable(d *engine.DurableDB, name string, cols []string, pkCol int, o
 	return OpenDurable(d, name, opts)
 }
 
-// OpenDurable wraps an existing durable partitioned table (created by
-// CreateDurable or recovered by OpenDurable on the engine side) in its
-// scatter-gather wrapper. Options.Partitions is ignored — the recovered
-// count wins; Options.Workers sizes the scatter pool.
+// OpenDurable wraps an existing durable table (created by CreateDurable
+// or DurableDB.CreateTable, or recovered by OpenDurable on the engine
+// side) in its scatter-gather wrapper. A plain table becomes a
+// one-partition view whose writes and DDL still go through the logged
+// DurableDB paths. Options.Partitions is ignored — the recovered count
+// wins; Options.Workers sizes the scatter pool.
 func OpenDurable(d *engine.DurableDB, name string, opts Options) (*Table, error) {
 	n, err := d.Partitions(name)
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, fmt.Errorf("partition: table %q is not partitioned", name)
-	}
-	opts.Partitions = n
+	opts.Partitions = max(n, 1)
 	opts = opts.sanitized()
-	parts := make([]*engine.Table, n)
+	parts := make([]*engine.Table, opts.Partitions)
 	for i := range parts {
-		tb, err := d.Table(engine.PartitionName(name, i))
+		phys := name
+		if n > 0 {
+			phys = engine.PartitionName(name, i)
+		}
+		tb, err := d.Table(phys)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"errors"
 	"sort"
 	"testing"
 
@@ -207,12 +208,19 @@ func TestDurablePartitionedDDLAndGuards(t *testing.T) {
 	if err := pt.DropIndex(1, engine.KindBTree); err != nil {
 		t.Fatal(err)
 	}
-	// OpenDurable on a plain table refuses.
+	// OpenDurable on a plain table serves it as a one-partition view.
 	if _, err := d.CreateTable("plain", []string{"x"}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDurable(d, "plain", Options{}); err == nil {
-		t.Fatal("OpenDurable on unpartitioned table accepted")
+	plain, err := OpenDurable(d, "plain", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Partitions() != 1 {
+		t.Fatalf("plain table view has %d partitions, want 1", plain.Partitions())
+	}
+	if _, err := OpenDurable(d, "missing", Options{}); !errors.Is(err, engine.ErrNoSuchTable) {
+		t.Fatalf("OpenDurable on a missing table: want ErrNoSuchTable, got %v", err)
 	}
 }
 
@@ -280,5 +288,66 @@ func TestDurablePartitionedBlockTier(t *testing.T) {
 	}
 	if _, err := memT.BlockStats(); err == nil {
 		t.Fatal("BlockStats on in-memory table accepted")
+	}
+}
+
+// TestDurablePlainView: a plain durable table opened through OpenDurable
+// is a one-partition view whose writes and DDL go through the WAL, so a
+// reopen recovers them, and whose queries match the engine table's.
+func TestDurablePlainView(t *testing.T) {
+	dir := t.TempDir()
+	d, err := engine.OpenDurable(dir, hermit.PhysicalPointers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.CreateTable("plain", []string{"pk", "v"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	pt, err := OpenDurable(d, "plain", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := pt.Insert([]float64{float64(i), float64(i % 50)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pt.CreateBTreeIndex(1, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pt.Delete(3); err != nil {
+		t.Fatal(err)
+	}
+	res := pt.ExecuteBatch([]engine.Op{
+		{Kind: engine.OpUpdate, PK: 4, Col: 1, Value: 1000},
+		{Kind: engine.OpInsert, Row: []float64{500, 1000}},
+	}, 1)
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("batch op %d: %v", i, r.Err)
+		}
+	}
+	rids, st, err := pt.RangeQuery(1, 10, 20)
+	if err != nil || !st.Routed || len(rids) != 44 {
+		t.Fatalf("view range: %d rows, routed %v, err %v; want 44 routed rows", len(rids), st.Routed, err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d, err = engine.OpenDurable(dir, hermit.PhysicalPointers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	tb, err := d.Table("plain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb.Len() != 200 || tb.Secondary(1) == nil {
+		t.Fatalf("reopened plain table: %d rows, B+-tree %v; want 200 rows and the index", tb.Len(), tb.Secondary(1) != nil)
+	}
+	if rids, _, err := tb.PointQuery(1, 1000); err != nil || len(rids) != 2 {
+		t.Fatalf("reopened plain table lost the batch: %d rows at v=1000, err %v", len(rids), err)
 	}
 }

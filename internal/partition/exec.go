@@ -91,7 +91,7 @@ func (t *Table) queryOpAt(snap *engine.Snapshot, op engine.Op) OpResult {
 	case engine.OpRange:
 		r.RIDs, r.Stats, r.Err = t.RangeQueryAt(snap, op.Col, op.Lo, op.Hi)
 	case engine.OpPoint:
-		r.RIDs, r.Stats, r.Err = t.PointQueryAt(snap, op.Col, op.Lo)
+		r.RIDs, r.Stats, r.Err = t.RangeQueryAt(snap, op.Col, op.Lo, op.Lo)
 	case engine.OpRange2:
 		r.RIDs, r.Stats, r.Err = t.RangeQuery2At(snap, op.Col, op.Lo, op.Hi, op.BCol, op.BLo, op.BHi)
 	default:

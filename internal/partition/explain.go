@@ -17,8 +17,9 @@ type Plan struct {
 	Lo, Hi float64
 	// FanOut is the number of partitions the query would execute on.
 	FanOut int
-	// Routed reports whether the predicate routes to a single partition by
-	// the primary-key hash; Part is that partition when it does.
+	// Routed reports whether the predicate runs on a single partition (the
+	// primary-key hash owner, or the only one); Part is that partition
+	// when it does.
 	Routed bool
 	Part   int
 	// PerPartition holds each executing partition's costed plan, indexed
@@ -46,7 +47,7 @@ func (t *Table) Explain(col int, lo, hi float64) (Plan, error) {
 	if col >= 0 && col < len(t.cols) {
 		plan.Column = t.cols[col]
 	}
-	if col == t.pkCol && lo == hi {
+	if t.routes(col, lo, hi) {
 		p := t.owner(lo)
 		ep, err := t.parts[p].Explain(col, lo, hi)
 		if err != nil {

@@ -15,11 +15,15 @@
 //     per-partition results are merged with an ordered k-way merge, so a
 //     range scan returns rows ordered by the predicate column exactly as a
 //     single-partition index scan would.
+//   - A one-partition table never fans out: every predicate is a direct
+//     engine call on the caller's goroutine, and RIDs come back in engine
+//     order. This is how a plain (unpartitioned) table is served.
 //
 // The same wrapper fronts the in-memory engine (New) and the durable
 // engine (CreateDurable/OpenDurable), where mutations go through the
 // WAL-logged DurableDB paths: each record carries its partition id, and
 // checkpoint/recovery rebuild every partition (see engine.DurableDB).
+// OpenDurable also wraps a plain durable table as a one-partition view.
 // Explain reports the fan-out with one costed engine plan per partition,
 // and EnableAdvisor runs the self-tuning advisor over aggregated
 // per-partition counters, applying its DDL uniformly to all partitions.
@@ -79,8 +83,9 @@ type RID struct {
 type Stats struct {
 	// FanOut is the number of partitions the query executed on.
 	FanOut int
-	// Routed reports whether the query was routed to a single partition by
-	// the primary-key hash (no scatter, no merge).
+	// Routed reports whether the query ran on a single partition — the
+	// primary-key hash owner, or the only partition — with no scatter and
+	// no merge.
 	Routed bool
 	// Rows is the number of qualifying tuples after the merge.
 	Rows int
@@ -271,18 +276,16 @@ func (t *Table) PointQuery(col int, v float64) ([]RID, Stats, error) {
 	return t.RangeQuery(col, v, v)
 }
 
-// PointQueryAt is PointQuery reading at the caller's snapshot.
-func (t *Table) PointQueryAt(snap *engine.Snapshot, col int, v float64) ([]RID, Stats, error) {
-	return t.RangeQueryAt(snap, col, v, v)
-}
-
-// RangeQuery returns the rows with lo <= col <= hi, ordered by the
-// predicate column (ties broken by partition then RID, so results are
-// deterministic). A primary-key point predicate (col == pkCol, lo == hi)
-// routes to one partition; everything else scatters across the worker
-// pool and gathers with an ordered merge. The whole query — every fan-out
-// leg — runs against one commit-clock snapshot, so it can never observe a
-// concurrent atomic batch partially, even across partitions.
+// RangeQuery returns the rows with lo <= col <= hi. A primary-key point
+// predicate (col == pkCol, lo == hi) routes to one partition, and on a
+// one-partition table every predicate is a direct call to that partition;
+// either way the RIDs come back in the engine's order. Everything else
+// scatters across the worker pool and gathers with an ordered merge, so
+// a fan-out result is ordered by the predicate column (ties broken by
+// partition then RID), which makes it deterministic. The whole query —
+// every fan-out leg — runs against one commit-clock snapshot, so it can
+// never observe a concurrent atomic batch partially, even across
+// partitions.
 func (t *Table) RangeQuery(col int, lo, hi float64) ([]RID, Stats, error) {
 	snap := t.Snapshot()
 	defer snap.Release()
@@ -291,8 +294,10 @@ func (t *Table) RangeQuery(col int, lo, hi float64) ([]RID, Stats, error) {
 
 // RangeQueryAt is RangeQuery reading at the caller's snapshot.
 func (t *Table) RangeQueryAt(snap *engine.Snapshot, col int, lo, hi float64) ([]RID, Stats, error) {
-	if col == t.pkCol && lo == hi {
-		return t.routed(snap, col, lo, hi)
+	if t.routes(col, lo, hi) {
+		p := t.owner(lo)
+		rids, qs, err := t.parts[p].RangeQueryAt(snap, col, lo, hi)
+		return t.routed(p, rids, qs, err)
 	}
 	return t.gather(col, func(p *engine.Table, dst []storage.RID) ([]storage.RID, engine.QueryStats, error) {
 		return p.RangeQueryAtInto(snap, col, lo, hi, dst)
@@ -310,6 +315,10 @@ func (t *Table) RangeQuery2(col int, lo, hi float64, bcol int, blo, bhi float64)
 
 // RangeQuery2At is RangeQuery2 reading at the caller's snapshot.
 func (t *Table) RangeQuery2At(snap *engine.Snapshot, col int, lo, hi float64, bcol int, blo, bhi float64) ([]RID, Stats, error) {
+	if len(t.parts) == 1 {
+		rids, qs, err := t.parts[0].RangeQuery2At(snap, col, lo, hi, bcol, blo, bhi)
+		return t.routed(0, rids, qs, err)
+	}
 	return t.gather(col, func(p *engine.Table, _ []storage.RID) ([]storage.RID, engine.QueryStats, error) {
 		// The composite path has no Into variant; its fan-out legs allocate
 		// their results as before.
@@ -317,11 +326,17 @@ func (t *Table) RangeQuery2At(snap *engine.Snapshot, col int, lo, hi float64, bc
 	})
 }
 
-// routed executes a primary-key point predicate on its single owner.
-func (t *Table) routed(snap *engine.Snapshot, col int, lo, hi float64) ([]RID, Stats, error) {
-	p := t.owner(lo)
+// routes reports whether the predicate lo <= col <= hi runs on a single
+// partition: a primary-key point predicate, or any predicate on a
+// one-partition table.
+func (t *Table) routes(col int, lo, hi float64) bool {
+	return len(t.parts) == 1 || col == t.pkCol && lo == hi
+}
+
+// routed wraps partition p's engine result as a single-partition query
+// result: no scatter, no merge, RIDs in engine order.
+func (t *Table) routed(p int, rids []storage.RID, qs engine.QueryStats, err error) ([]RID, Stats, error) {
 	st := Stats{FanOut: 1, Routed: true, PerPartition: make([]engine.QueryStats, len(t.parts))}
-	rids, qs, err := t.parts[p].RangeQueryAt(snap, col, lo, hi)
 	if err != nil {
 		return nil, st, err
 	}

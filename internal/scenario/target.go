@@ -87,25 +87,14 @@ func IsAbort(err error) bool {
 		errors.Is(err, client.ErrConflict)
 }
 
-// table adapts the three embedded table flavours (engine, partitioned,
-// durable flavours of both) behind one op surface.
-type table interface {
-	point(col int, v float64) (int, error)
-	scan(col int, lo, hi float64) (int, error)
-	insert(row []float64) error
-	update(pk float64, col int, v float64) error
-	del(pk float64) (bool, error)
-	atomic(members []Op) error
-}
-
-// embedTarget hosts the in-process kinds: a volatile engine.DB when dir
-// is empty, a WAL-backed DurableDB otherwise; per-tenant tables are
-// hash-partitioned when the spec says so.
+// embedTarget hosts the in-process kinds: a volatile table set when dir
+// is empty, a WAL-backed DurableDB otherwise. Every tenant table is a
+// partition.Table — hash-partitioned when the spec says so, else a
+// one-partition table — so writes on a durable target are always logged.
 type embedTarget struct {
 	dir      string
 	d        *engine.DurableDB
-	db       *engine.DB
-	tables   []table
+	tables   []*partition.Table
 	advisors []*advisor.Advisor
 }
 
@@ -117,35 +106,20 @@ func (t *embedTarget) Setup(spec *Spec) error {
 			return err
 		}
 		t.d = d
-	} else {
-		t.db = engine.NewDB(hermit.PhysicalPointers)
 	}
-	cols, parts := spec.Columns(), spec.Table.Partitions
 	for i := 0; i < spec.tenantCount(); i++ {
-		name := TableName(i)
-		tb, err := t.createTable(name, cols, parts)
+		tb, err := t.createTable(TableName(i), spec.Columns(), spec.Table.Partitions)
 		if err != nil {
 			return err
 		}
 		for _, col := range spec.Table.BTreeCols {
-			if err := tb.(indexed).createBTree(col); err != nil {
+			if err := tb.CreateBTreeIndex(col, false); err != nil {
 				return err
 			}
 		}
 		t.tables = append(t.tables, tb)
 		if spec.Advisor {
-			if pt, ok := tb.(*partTable); ok {
-				t.advisors = append(t.advisors, pt.t.EnableAdvisor(advisorOpts()))
-			}
-		}
-	}
-	if spec.Advisor {
-		// Non-partitioned tables share one DB-level advisor.
-		switch {
-		case t.d != nil && spec.Table.Partitions == 0:
-			t.advisors = append(t.advisors, t.d.EnableAdvisor(advisorOpts()))
-		case t.db != nil && spec.Table.Partitions == 0:
-			t.advisors = append(t.advisors, t.db.EnableAdvisor(advisorOpts()))
+			t.advisors = append(t.advisors, tb.EnableAdvisor(advisorOpts()))
 		}
 	}
 	return nil
@@ -162,38 +136,24 @@ func advisorOpts() engine.AdvisorOptions {
 	}
 }
 
-// createTable creates one tenant table in whichever engine is open.
-func (t *embedTarget) createTable(name string, cols []string, parts int) (table, error) {
+// createTable creates one tenant table, durable when a DurableDB is open;
+// parts == 0 makes a plain table served as one partition.
+func (t *embedTarget) createTable(name string, cols []string, parts int) (*partition.Table, error) {
 	switch {
 	case t.d != nil && parts > 0:
-		pt, err := partition.CreateDurable(t.d, name, cols, 0, partition.Options{Partitions: parts})
-		if err != nil {
-			return nil, err
-		}
-		return &partTable{t: pt}, nil
+		return partition.CreateDurable(t.d, name, cols, 0, partition.Options{Partitions: parts})
 	case t.d != nil:
-		tb, err := t.d.CreateTable(name, cols, 0)
-		if err != nil {
+		if _, err := t.d.CreateTable(name, cols, 0); err != nil {
 			return nil, err
 		}
-		return &engineTable{t: tb, d: t.d, name: name}, nil
-	case parts > 0:
-		pt, err := partition.New(hermit.PhysicalPointers, name, cols, 0, partition.Options{Partitions: parts})
-		if err != nil {
-			return nil, err
-		}
-		return &partTable{t: pt}, nil
+		return partition.OpenDurable(t.d, name, partition.Options{})
 	default:
-		tb, err := t.db.CreateTable(name, cols, 0)
-		if err != nil {
-			return nil, err
-		}
-		return &engineTable{t: tb, db: t.db, name: name}, nil
+		return partition.New(hermit.PhysicalPointers, name, cols, 0, partition.Options{Partitions: max(parts, 1)})
 	}
 }
 
-// Session implements Target; embedded sessions share the engine, which
-// is safe for concurrent use.
+// Session implements Target; embedded sessions share the tables, which
+// are safe for concurrent use.
 func (t *embedTarget) Session() (Session, error) {
 	return &embedSession{tables: t.tables}, nil
 }
@@ -209,26 +169,26 @@ func (t *embedTarget) Close() error {
 	return nil
 }
 
-// indexed is the setup-time DDL surface of the embedded table adapters.
-type indexed interface{ createBTree(col int) error }
-
-// embedSession routes ops to the tenant's table adapter.
-type embedSession struct{ tables []table }
+// embedSession routes ops to the tenant's table.
+type embedSession struct{ tables []*partition.Table }
 
 // Apply implements Session.
 func (s *embedSession) Apply(op *Op) (int, error) {
 	tb := s.tables[op.Tenant]
 	switch op.Kind {
 	case OpPoint:
-		return tb.point(op.Col, op.Key)
+		rids, _, err := tb.PointQuery(op.Col, op.Key)
+		return len(rids), err
 	case OpRange:
-		return tb.scan(op.Col, op.Lo, op.Hi)
+		rids, _, err := tb.RangeQuery(op.Col, op.Lo, op.Hi)
+		return len(rids), err
 	case OpInsert:
-		return 1, tb.insert(op.Row)
+		_, err := tb.Insert(op.Row)
+		return 1, err
 	case OpUpdate:
-		return 1, tb.update(op.Key, op.Col, op.Val)
+		return 1, tb.UpdateColumn(op.Key, op.Col, op.Val)
 	case OpDelete:
-		found, err := tb.del(op.Key)
+		found, err := tb.Delete(op.Key)
 		if err != nil {
 			return 0, err
 		}
@@ -237,7 +197,8 @@ func (s *embedSession) Apply(op *Op) (int, error) {
 		}
 		return 0, nil
 	case OpTxn:
-		return len(op.Members), tb.atomic(op.Members)
+		results := tb.ExecuteBatch(engineOps(op.Members), 1)
+		return len(op.Members), batchError(len(results), func(i int) error { return results[i].Err })
 	default:
 		return 0, fmt.Errorf("scenario: unknown op kind %d", op.Kind)
 	}
@@ -246,98 +207,21 @@ func (s *embedSession) Apply(op *Op) (int, error) {
 // Close implements Session (embedded sessions hold no resources).
 func (s *embedSession) Close() error { return nil }
 
-// engineTable adapts a plain engine.Table; atomic batches go through the
-// owning DB/DurableDB executor so they carry the table name.
-type engineTable struct {
-	t    *engine.Table
-	db   *engine.DB
-	d    *engine.DurableDB
-	name string
-}
-
-func (e *engineTable) point(col int, v float64) (int, error) {
-	rids, _, err := e.t.PointQuery(col, v)
-	return len(rids), err
-}
-
-func (e *engineTable) scan(col int, lo, hi float64) (int, error) {
-	rids, _, err := e.t.RangeQuery(col, lo, hi)
-	return len(rids), err
-}
-
-func (e *engineTable) insert(row []float64) error {
-	_, err := e.t.Insert(row)
-	return err
-}
-
-func (e *engineTable) update(pk float64, col int, v float64) error {
-	return e.t.UpdateColumn(pk, col, v)
-}
-
-func (e *engineTable) del(pk float64) (bool, error) { return e.t.Delete(pk) }
-
-func (e *engineTable) createBTree(col int) error {
-	_, err := e.t.CreateBTreeIndex(col, false)
-	return err
-}
-
-func (e *engineTable) atomic(members []Op) error {
-	ops := engineOps(members, e.name)
-	var results []engine.OpResult
-	if e.d != nil {
-		results = e.d.ExecuteBatch(ops, 1)
-	} else {
-		results = e.db.ExecuteBatch(ops, 1)
-	}
-	return batchError(len(results), func(i int) error { return results[i].Err })
-}
-
-// partTable adapts a partitioned table (volatile or durable).
-type partTable struct{ t *partition.Table }
-
-func (p *partTable) point(col int, v float64) (int, error) {
-	rids, _, err := p.t.PointQuery(col, v)
-	return len(rids), err
-}
-
-func (p *partTable) scan(col int, lo, hi float64) (int, error) {
-	rids, _, err := p.t.RangeQuery(col, lo, hi)
-	return len(rids), err
-}
-
-func (p *partTable) insert(row []float64) error {
-	_, err := p.t.Insert(row)
-	return err
-}
-
-func (p *partTable) update(pk float64, col int, v float64) error {
-	return p.t.UpdateColumn(pk, col, v)
-}
-
-func (p *partTable) del(pk float64) (bool, error) { return p.t.Delete(pk) }
-
-func (p *partTable) createBTree(col int) error { return p.t.CreateBTreeIndex(col, false) }
-
-func (p *partTable) atomic(members []Op) error {
-	results := p.t.ExecuteBatch(engineOps(members, ""), 1)
-	return batchError(len(results), func(i int) error { return results[i].Err })
-}
-
 // engineOps lowers compiled txn members to engine batch ops.
-func engineOps(members []Op, tableName string) []engine.Op {
+func engineOps(members []Op) []engine.Op {
 	ops := make([]engine.Op, len(members))
 	for i, m := range members {
 		switch m.Kind {
 		case OpPoint:
-			ops[i] = engine.Op{Table: tableName, Kind: engine.OpPoint, Col: m.Col, Lo: m.Key}
+			ops[i] = engine.Op{Kind: engine.OpPoint, Col: m.Col, Lo: m.Key}
 		case OpUpdate:
-			ops[i] = engine.Op{Table: tableName, Kind: engine.OpUpdate, PK: m.Key, Col: m.Col, Value: m.Val}
+			ops[i] = engine.Op{Kind: engine.OpUpdate, PK: m.Key, Col: m.Col, Value: m.Val}
 		case OpInsert:
-			ops[i] = engine.Op{Table: tableName, Kind: engine.OpInsert, Row: m.Row}
+			ops[i] = engine.Op{Kind: engine.OpInsert, Row: m.Row}
 		case OpDelete:
-			ops[i] = engine.Op{Table: tableName, Kind: engine.OpDelete, PK: m.Key}
+			ops[i] = engine.Op{Kind: engine.OpDelete, PK: m.Key}
 		case OpRange:
-			ops[i] = engine.Op{Table: tableName, Kind: engine.OpRange, Col: m.Col, Lo: m.Lo, Hi: m.Hi}
+			ops[i] = engine.Op{Kind: engine.OpRange, Col: m.Col, Lo: m.Lo, Hi: m.Hi}
 		}
 	}
 	return ops

@@ -9,7 +9,6 @@ import (
 	"hermit/internal/engine"
 	"hermit/internal/partition"
 	"hermit/internal/server/proto"
-	"hermit/internal/storage"
 )
 
 // isQuery reports whether an op kind is one of the three read kinds.
@@ -24,11 +23,11 @@ func isQuery(k engine.OpKind) bool {
 // backend adapts the wire protocol's operation surface onto a DurableDB.
 // It owns the two impedance mismatches the engine does not hide:
 //
-//   - Partitioned logical tables. DurableDB mutations auto-route to hash
-//     partitions, but queries on a partitioned logical name must go
-//     through a partition.Table wrapper (the engine only knows the t#i
-//     physical tables). The backend caches one wrapper per partitioned
-//     table and routes per request.
+//   - One table abstraction for reads. DurableDB mutations auto-route by
+//     logical name, but queries go through a partition.Table: a
+//     partitioned table's scatter-gather wrapper, or a plain table's
+//     one-partition view, which runs every query as a direct engine call.
+//     The backend caches one wrapper per table and routes per request.
 //
 //   - RID lifetime. Queries return version RIDs; between the query and
 //     the row fetch, version GC could reclaim them. Every query path here
@@ -44,12 +43,12 @@ type backend struct {
 	d       *engine.DurableDB
 	workers int
 
-	mu    sync.Mutex
-	parts map[string]*partition.Table
+	mu     sync.Mutex
+	tables map[string]*partition.Table
 }
 
 func newBackend(d *engine.DurableDB, workers int) *backend {
-	return &backend{d: d, workers: workers, parts: make(map[string]*partition.Table)}
+	return &backend{d: d, workers: workers, tables: make(map[string]*partition.Table)}
 }
 
 // errReject wraps a proto error code so session code can map engine
@@ -112,26 +111,22 @@ func validTenant(tenant string) error {
 	return nil
 }
 
-// resolve returns the partition wrapper for a partitioned logical table,
-// or nil for a plain table. name is already physical (tenant-mangled).
+// resolve returns the cached partition.Table serving a table (a plain
+// table is a one-partition view); it never returns a nil table without an
+// error. name is already physical (tenant-mangled). The cache lives as
+// long as the backend, and a database swap builds a fresh backend, so no
+// wrapper outlives its tables.
 func (b *backend) resolve(name string) (*partition.Table, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if pt, ok := b.parts[name]; ok {
+	if pt, ok := b.tables[name]; ok {
 		return pt, nil
-	}
-	n, err := b.d.Partitions(name)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
 	}
 	pt, err := partition.OpenDurable(b.d, name, partition.Options{Workers: b.workers})
 	if err != nil {
 		return nil, err
 	}
-	b.parts[name] = pt
+	b.tables[name] = pt
 	return pt, nil
 }
 
@@ -140,7 +135,7 @@ func (b *backend) resolve(name string) (*partition.Table, error) {
 // that a re-open is the simplest correctness story).
 func (b *backend) forget(name string) {
 	b.mu.Lock()
-	delete(b.parts, name)
+	delete(b.tables, name)
 	b.mu.Unlock()
 }
 
@@ -154,7 +149,7 @@ func engineOp(tenant string, r *proto.Request) (engine.Op, error) {
 	op := engine.Op{Table: name}
 	switch r.Type {
 	case proto.ReqPoint:
-		op.Kind, op.Col, op.Lo = engine.OpPoint, int(r.Col), r.Lo
+		op.Kind, op.Col, op.Lo, op.Hi = engine.OpPoint, int(r.Col), r.Lo, r.Lo
 	case proto.ReqRange:
 		op.Kind, op.Col, op.Lo, op.Hi = engine.OpRange, int(r.Col), r.Lo, r.Hi
 	case proto.ReqRange2:
@@ -172,27 +167,8 @@ func engineOp(tenant string, r *proto.Request) (engine.Op, error) {
 	return op, nil
 }
 
-// fetchPlain materialises query-result rows from a plain engine table.
-func (b *backend) fetchPlain(table string, rids []storage.RID) ([][]float64, error) {
-	tb, err := b.d.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := tb.FetchRows(rids, nil)
-	if err != nil {
-		return nil, err
-	}
-	// FetchRows reuses one backing buffer per call; copy before the next
-	// fetch (and before the response outlives the guard snapshot scope).
-	out := make([][]float64, len(rows))
-	for i, r := range rows {
-		out[i] = append([]float64(nil), r...)
-	}
-	return out, nil
-}
-
-// fetchPart materialises query-result rows from a partitioned table.
-func fetchPart(pt *partition.Table, rids []partition.RID) ([][]float64, error) {
+// fetch materialises query-result rows.
+func fetch(pt *partition.Table, rids []partition.RID) ([][]float64, error) {
 	out := make([][]float64, 0, len(rids))
 	for _, rid := range rids {
 		row, err := pt.FetchRow(rid)
@@ -204,23 +180,38 @@ func fetchPart(pt *partition.Table, rids []partition.RID) ([][]float64, error) {
 	return out, nil
 }
 
+// opResponse renders one executed op as its wire response, fetching a
+// query's rows from pt.
+func opResponse(pt *partition.Table, kind engine.OpKind, rids []partition.RID, found bool, err error) proto.Response {
+	var rows [][]float64
+	if err == nil && isQuery(kind) {
+		rows, err = fetch(pt, rids)
+	}
+	switch {
+	case err != nil:
+		return errorResponse(err)
+	case isQuery(kind):
+		return proto.Response{Type: proto.RespRows, Rows: rows}
+	case kind == engine.OpDelete:
+		return proto.Response{Type: proto.RespFound, Found: found}
+	default:
+		return proto.Response{Type: proto.RespOK}
+	}
+}
+
 // runReads executes a coalesced group of auto-commit read requests — the
-// session's pipelining unit. Plain-table ops funnel into one
-// DurableDB.ExecuteBatch call (shared snapshot, worker pool); ops on each
-// partitioned table funnel into that table's ExecuteBatch. A guard
-// snapshot taken before either call covers the row fetches. Responses
-// align positionally with reqs.
+// session's pipelining unit. The ops on each table funnel into that
+// table's ExecuteBatch (shared snapshot, worker pool). A guard snapshot
+// taken before those calls covers the row fetches. Responses align
+// positionally with reqs.
 func (b *backend) runReads(tenant string, reqs []proto.Request) []proto.Response {
 	out := make([]proto.Response, len(reqs))
 
 	guard := b.d.Snapshot()
 	defer guard.Release()
 
-	var plainOps []engine.Op
-	var plainIdx []int
-	partOps := make(map[*partition.Table][]engine.Op)
-	partIdx := make(map[*partition.Table][]int)
-
+	ops := make(map[*partition.Table][]engine.Op)
+	idx := make(map[*partition.Table][]int)
 	for i := range reqs {
 		op, err := engineOp(tenant, &reqs[i])
 		if err != nil {
@@ -232,136 +223,70 @@ func (b *backend) runReads(tenant string, reqs []proto.Request) []proto.Response
 			out[i] = errorResponse(err)
 			continue
 		}
-		if pt == nil {
-			plainOps, plainIdx = append(plainOps, op), append(plainIdx, i)
-		} else {
-			partOps[pt], partIdx[pt] = append(partOps[pt], op), append(partIdx[pt], i)
-		}
+		ops[pt], idx[pt] = append(ops[pt], op), append(idx[pt], i)
 	}
-
-	if len(plainOps) > 0 {
-		results := b.d.ExecuteBatch(plainOps, b.workers)
-		for k, res := range results {
-			i := plainIdx[k]
-			if res.Err != nil {
-				out[i] = errorResponse(res.Err)
-				continue
-			}
-			rows, err := b.fetchPlain(plainOps[k].Table, res.RIDs)
-			if err != nil {
-				out[i] = errorResponse(err)
-				continue
-			}
-			out[i] = proto.Response{Type: proto.RespRows, Rows: rows}
-		}
-	}
-	for pt, ops := range partOps {
-		results := pt.ExecuteBatch(ops, b.workers)
-		for k, res := range results {
-			i := partIdx[pt][k]
-			if res.Err != nil {
-				out[i] = errorResponse(res.Err)
-				continue
-			}
-			rows, err := fetchPart(pt, res.RIDs)
-			if err != nil {
-				out[i] = errorResponse(err)
-				continue
-			}
-			out[i] = proto.Response{Type: proto.RespRows, Rows: rows}
+	for pt, tops := range ops {
+		for k, res := range pt.ExecuteBatch(tops, b.workers) {
+			out[idx[pt][k]] = opResponse(pt, tops[k].Kind, res.RIDs, false, res.Err)
 		}
 	}
 	return out
 }
 
-// runBatch executes a wire batch atomically. All-plain batches go through
-// DurableDB.ExecuteBatch; a batch whose ops all target one partitioned
-// table goes through that table's cross-partition ExecuteBatch. A batch
-// that queries a partitioned table while also touching other tables is
-// refused (the engine executor cannot resolve partitioned logical names
-// for reads) — mutations on partitioned tables inside mixed batches are
-// fine, since the transaction layer auto-routes them.
+// runBatch executes a wire batch atomically. A batch whose ops all target
+// one table goes through that table's ExecuteBatch. A batch spanning
+// tables goes through DurableDB.ExecuteBatch, which resolves only
+// physical names for reads, so such a batch may not query a partitioned
+// table and is refused if it does — mutations on partitioned tables
+// inside it are fine, since the transaction layer auto-routes them.
 func (b *backend) runBatch(tenant string, r *proto.Request) proto.Response {
 	if len(r.Ops) == 0 {
 		return proto.Response{Type: proto.RespBatch}
 	}
 	ops := make([]engine.Op, len(r.Ops))
+	single := true
 	for i := range r.Ops {
 		op, err := engineOp(tenant, &r.Ops[i])
 		if err != nil {
 			return errorResponse(err)
 		}
 		ops[i] = op
+		single = single && op.Table == ops[0].Table
 	}
-
-	// Classify the referenced tables.
-	var singlePart *partition.Table
-	singleTable, mixed := ops[0].Table, false
-	for _, op := range ops {
-		if op.Table != singleTable {
-			mixed = true
+	// tables[i] is the table op i reads or, in a single-table batch, runs
+	// on; a multi-table batch's mutations route by name in the engine.
+	tables := make([]*partition.Table, len(ops))
+	for i, op := range ops {
+		if !single && !isQuery(op.Kind) {
+			continue
 		}
-	}
-	if !mixed {
-		pt, err := b.resolve(singleTable)
+		pt, err := b.resolve(op.Table)
 		if err != nil {
 			return errorResponse(err)
 		}
-		singlePart = pt
+		if n, _ := b.d.Partitions(op.Table); !single && n > 0 {
+			return errorResponse(reject(proto.CodeBadRequest,
+				"query on partitioned table %q in a multi-table batch", op.Table))
+		}
+		tables[i] = pt
 	}
 
 	guard := b.d.Snapshot()
 	defer guard.Release()
 
-	var results []engine.OpResult
-	var partResults []partition.OpResult
-	if singlePart != nil {
-		partResults = singlePart.ExecuteBatch(ops, b.workers)
-	} else {
-		for _, op := range ops {
-			if !isQuery(op.Kind) {
-				continue
-			}
-			pt, err := b.resolve(op.Table)
-			if err != nil {
-				return errorResponse(err)
-			}
-			if pt != nil {
-				return errorResponse(reject(proto.CodeBadRequest,
-					"query on partitioned table %q in a multi-table batch", op.Table))
-			}
-		}
-		results = b.d.ExecuteBatch(ops, b.workers)
-	}
-
 	resp := proto.Response{Type: proto.RespBatch, Results: make([]proto.Response, len(ops))}
-	for i, op := range ops {
-		var err error
-		var found bool
-		var rows [][]float64
-		if singlePart != nil {
-			res := partResults[i]
-			err, found = res.Err, res.Found
-			if err == nil && isQuery(op.Kind) {
-				rows, err = fetchPart(singlePart, res.RIDs)
-			}
-		} else {
-			res := results[i]
-			err, found = res.Err, res.Found
-			if err == nil && isQuery(op.Kind) {
-				rows, err = b.fetchPlain(op.Table, res.RIDs)
-			}
+	if single {
+		for i, res := range tables[0].ExecuteBatch(ops, b.workers) {
+			resp.Results[i] = opResponse(tables[0], ops[i].Kind, res.RIDs, res.Found, res.Err)
 		}
-		switch {
-		case err != nil:
-			resp.Results[i] = errorResponse(err)
-		case isQuery(op.Kind):
-			resp.Results[i] = proto.Response{Type: proto.RespRows, Rows: rows}
-		case op.Kind == engine.OpDelete:
-			resp.Results[i] = proto.Response{Type: proto.RespFound, Found: found}
-		default:
-			resp.Results[i] = proto.Response{Type: proto.RespOK}
+		return resp
+	}
+	for i, res := range b.d.ExecuteBatch(ops, b.workers) {
+		rids := make([]partition.RID, len(res.RIDs)) // a plain table's only partition
+		for k, rid := range res.RIDs {
+			rids[k].RID = rid
 		}
+		resp.Results[i] = opResponse(tables[i], ops[i].Kind, rids, res.Found, res.Err)
 	}
 	return resp
 }
@@ -408,41 +333,13 @@ func (b *backend) runTxnQuery(tenant string, tx *engine.DurableTxn, r *proto.Req
 	if snap == nil {
 		return errorResponse(engine.ErrTxnDone)
 	}
-	var rows [][]float64
-	if pt != nil {
-		var rids []partition.RID
-		switch op.Kind {
-		case engine.OpPoint:
-			rids, _, err = pt.PointQueryAt(snap, op.Col, op.Lo)
-		case engine.OpRange:
-			rids, _, err = pt.RangeQueryAt(snap, op.Col, op.Lo, op.Hi)
-		case engine.OpRange2:
-			rids, _, err = pt.RangeQuery2At(snap, op.Col, op.Lo, op.Hi, op.BCol, op.BLo, op.BHi)
-		}
-		if err == nil {
-			rows, err = fetchPart(pt, rids)
-		}
+	var rids []partition.RID
+	if op.Kind == engine.OpRange2 {
+		rids, _, err = pt.RangeQuery2At(snap, op.Col, op.Lo, op.Hi, op.BCol, op.BLo, op.BHi)
 	} else {
-		var tb *engine.Table
-		if tb, err = b.d.Table(op.Table); err == nil {
-			var rids []storage.RID
-			switch op.Kind {
-			case engine.OpPoint:
-				rids, _, err = tb.PointQueryAt(snap, op.Col, op.Lo)
-			case engine.OpRange:
-				rids, _, err = tb.RangeQueryAt(snap, op.Col, op.Lo, op.Hi)
-			case engine.OpRange2:
-				rids, _, err = tb.RangeQuery2At(snap, op.Col, op.Lo, op.Hi, op.BCol, op.BLo, op.BHi)
-			}
-			if err == nil {
-				rows, err = b.fetchPlain(op.Table, rids)
-			}
-		}
+		rids, _, err = pt.RangeQueryAt(snap, op.Col, op.Lo, op.Hi)
 	}
-	if err != nil {
-		return errorResponse(err)
-	}
-	return proto.Response{Type: proto.RespRows, Rows: rows}
+	return opResponse(pt, op.Kind, rids, false, err)
 }
 
 // runTxnMutation buffers one mutation into an open transaction.

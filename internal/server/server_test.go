@@ -484,3 +484,90 @@ func TestProtocolErrorResponses(t *testing.T) {
 		t.Fatalf("error does not expose wire code: %v", err)
 	}
 }
+
+// TestBatchAcrossTables covers runBatch's table routing: a batch spanning
+// two plain tables runs as one transaction whose queries read the batch
+// snapshot, a multi-table batch that queries a partitioned table is
+// refused, and a single-table batch on a partitioned table runs through
+// that table's own executor.
+func TestBatchAcrossTables(t *testing.T) {
+	srv, _ := startServer(t, Options{})
+	c := dial(t, srv, client.Options{})
+	for _, tb := range []struct {
+		name  string
+		parts int
+	}{{"a", 0}, {"b", 0}, {"p", 4}} {
+		if err := c.CreateTable(tb.name, []string{"id", "x"}, 0, tb.parts); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			if err := c.Insert(tb.name, []float64{float64(i), float64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	res, err := c.Batch([]client.Op{
+		{Kind: client.OpInsert, Table: "a", Row: []float64{100, 100}},
+		{Kind: client.OpDelete, Table: "b", PK: 3},
+		{Kind: client.OpInsert, Table: "p", Row: []float64{100, 100}},
+		{Kind: client.OpRange, Table: "a", Col: 0, Lo: 0, Hi: 1000},
+		{Kind: client.OpRange, Table: "b", Col: 1, Lo: 0, Hi: 1000},
+	})
+	if err != nil {
+		t.Fatalf("two-plain-table batch: %v", err)
+	}
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("two-plain-table batch op %d: %v", i, r.Err)
+		}
+	}
+	if !res[1].Found {
+		t.Fatal("batch delete did not find b/3")
+	}
+	// Queries read the batch-start snapshot: neither the insert into a nor
+	// the delete from b is visible to them.
+	if len(res[3].Rows) != 10 || len(res[4].Rows) != 10 {
+		t.Fatalf("batch queries saw %d and %d rows, want 10 and 10 at the batch snapshot",
+			len(res[3].Rows), len(res[4].Rows))
+	}
+	for table, want := range map[string]int{"a": 11, "b": 9, "p": 11} {
+		if rows, err := c.Range(table, 0, 0, 1000); err != nil || len(rows) != want {
+			t.Fatalf("%s after batch: %d rows (err %v), want %d", table, len(rows), err, want)
+		}
+	}
+
+	_, err = c.Batch([]client.Op{
+		{Kind: client.OpInsert, Table: "a", Row: []float64{200, 200}},
+		{Kind: client.OpPoint, Table: "p", Col: 0, Lo: 1},
+	})
+	var serr *client.Error
+	if !errors.As(err, &serr) || serr.Code != proto.CodeBadRequest {
+		t.Fatalf("multi-table batch querying a partitioned table: want CodeBadRequest, got %v", err)
+	}
+	if rows, err := c.Point("a", 0, 200); err != nil || len(rows) != 0 {
+		t.Fatalf("refused batch applied its insert: rows=%v err=%v", rows, err)
+	}
+
+	res, err = c.Batch([]client.Op{
+		{Kind: client.OpInsert, Table: "p", Row: []float64{300, 300}},
+		{Kind: client.OpUpdate, Table: "p", PK: 4, Col: 1, Value: -4},
+		{Kind: client.OpRange, Table: "p", Col: 1, Lo: 0, Hi: 1000},
+		{Kind: client.OpPoint, Table: "p", Col: 0, Lo: 4},
+	})
+	if err != nil {
+		t.Fatalf("partitioned single-table batch: %v", err)
+	}
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("partitioned single-table batch op %d: %v", i, r.Err)
+		}
+	}
+	if len(res[2].Rows) != 11 || len(res[3].Rows) != 1 || res[3].Rows[0][1] != 4 {
+		t.Fatalf("partitioned batch queries: range %d rows, point %v; want 11 rows and x=4",
+			len(res[2].Rows), res[3].Rows)
+	}
+	if rows, err := c.Point("p", 0, 4); err != nil || len(rows) != 1 || rows[0][1] != -4 {
+		t.Fatalf("partitioned batch update: rows=%v err=%v", rows, err)
+	}
+}
