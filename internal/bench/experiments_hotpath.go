@@ -17,10 +17,11 @@ import (
 	"hermit/internal/storage"
 )
 
-// The hotpath experiment measures the allocator cost of the engine's five
+// The hotpath experiment measures the allocator cost of the engine's
 // hottest operations — embedded PK point read, embedded range scan,
-// partitioned scatter-gather scan, durable WAL-logged insert, and a
-// wire-protocol point read through hermitd — as allocs/op, bytes/op,
+// embedded Hermit range, partitioned scatter-gather scan, durable
+// WAL-logged insert, and a wire-protocol point read through hermitd — as
+// allocs/op, bytes/op,
 // ns/op, and throughput, each at GOMAXPROCS 1 and 4. The artifact is the
 // regression baseline for the zero-alloc read-path contract: the same
 // numbers `testing.AllocsPerRun` guards enforce in tier-1 are recorded
@@ -43,6 +44,14 @@ const hotpathPartitions = 4
 
 // hotpathSpan is the row span of each range/partitioned scan.
 const hotpathSpan = 256
+
+// hotpathHermitSpan is the row span of each hermit_range lookup, the
+// about-100-row range the served benchmark issues.
+const hotpathHermitSpan = 100
+
+// hotpathNoise is the fraction of hermit_range rows placed off the
+// correlation, so they land in the TRS-Tree's outlier buffer.
+const hotpathNoise = 0.01
 
 // hotpathLane is one (workload, GOMAXPROCS) measurement.
 type hotpathLane struct {
@@ -79,6 +88,7 @@ func hotpathWorkloads() []hotpathWorkload {
 	return []hotpathWorkload{
 		{"point_read", setupHotpathPoint},
 		{"range_scan", setupHotpathRange},
+		{"hermit_range", setupHotpathHermitRange},
 		{"partitioned_scan", setupHotpathPartitioned},
 		{"durable_insert", setupHotpathDurableInsert},
 		{"wire_point", setupHotpathWirePoint},
@@ -144,6 +154,55 @@ func setupHotpathRange(cfg Config, n int) (func() error, func(), error) {
 		}
 		if len(rids) != hotpathSpan {
 			return fmt.Errorf("range scan matched %d rows, want %d", len(rids), hotpathSpan)
+		}
+		dst = rids
+		return nil
+	}
+	return op, func() {}, nil
+}
+
+// setupHotpathHermitRange measures a Hermit range of hotpathHermitSpan
+// rows through the caller-buffer API: TRS-Tree lookup over a one-leaf tree
+// whose buffer holds hotpathNoise of the rows, host B+-tree probe, and
+// base-table validation. Target values are the integers 0..n-1, so every
+// range matches exactly hotpathHermitSpan rows.
+func setupHotpathHermitRange(cfg Config, n int) (func() error, func(), error) {
+	db := engine.NewDB(hermit.PhysicalPointers)
+	tb, err := db.CreateTable("hot", []string{"pk", "host", "target"}, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	tb.SetRouting(engine.RouteStatic)
+	rng := rand.New(rand.NewSource(cfg.Seed + 23))
+	for i := 0; i < n; i++ {
+		target := float64(i)
+		host := 2*target + 100
+		if rng.Float64() < hotpathNoise {
+			host = rng.Float64() * float64(2*n+100)
+		}
+		if _, err := tb.Insert([]float64{float64(i), host, target}); err != nil {
+			return nil, nil, err
+		}
+	}
+	if _, err := tb.CreateBTreeIndex(1, false); err != nil {
+		return nil, nil, err
+	}
+	hx, err := tb.CreateHermitIndex(2, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	if leaves := hx.Tree().LeafCount(); leaves != 1 {
+		return nil, nil, fmt.Errorf("hermit_range tree has %d leaves, want 1", leaves)
+	}
+	var dst []storage.RID
+	op := func() error {
+		lo := float64(rng.Intn(n - hotpathHermitSpan))
+		rids, _, err := tb.RangeQueryInto(2, lo, lo+hotpathHermitSpan-1, dst)
+		if err != nil {
+			return err
+		}
+		if len(rids) != hotpathHermitSpan {
+			return fmt.Errorf("hermit range matched %d rows, want %d", len(rids), hotpathHermitSpan)
 		}
 		dst = rids
 		return nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -230,7 +231,7 @@ func (hx *DiskHermit) lookup(lo, hi float64) ([]pager.HeapRID, QueryStats, error
 		st.Breakdown[hermit.PhaseHostIndex] += time.Since(t0)
 		t0 = time.Now()
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	slices.Sort(ids)
 	var out []pager.HeapRID
 	var prev uint64
 	for i, id := range ids {

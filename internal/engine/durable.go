@@ -608,6 +608,9 @@ func physicalNames(name string, meta *durableMeta) []string {
 	return names
 }
 
+// applyIndexDef builds the index def describes on tb. WithParams maps the
+// zero Params of a manifest written before CreateIndex stored the defaults
+// to the paper defaults.
 func applyIndexDef(tb *Table, def IndexDef) error {
 	var err error
 	switch def.Kind {
@@ -853,8 +856,13 @@ func (d *DurableDB) Table(name string) (*Table, error) { return d.db.Table(name)
 // the definition is applied to every partition (indexes are uniform across
 // partitions, so routing never changes which access paths exist); only
 // single-column kinds are supported there, because a partial failure is
-// unwound with DropIndex and composites are not droppable.
+// unwound with DropIndex and composites are not droppable. A Hermit def
+// with zero Params is logged and stored with the paper defaults, so the
+// WAL and the manifest carry the parameters the index was built with.
 func (d *DurableDB) CreateIndex(table string, def IndexDef) error {
+	if def.Kind == "hermit" || def.Kind == "composite-hermit" {
+		def.Params = orDefaultParams(def.Params)
+	}
 	d.mu.Lock()
 	meta := d.tables[table]
 	if meta == nil {
@@ -865,24 +873,37 @@ func (d *DurableDB) CreateIndex(table string, def IndexDef) error {
 		d.mu.Unlock()
 		return fmt.Errorf("engine: %s indexes are not supported on partitioned tables", def.Kind)
 	}
+	// Partitions are independent tables and index builds are CPU-bound
+	// (a TRS-Tree fit per node), so the partitions build concurrently.
 	names := physicalNames(table, meta)
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
 	for i, phys := range names {
-		tb, err := d.db.Table(phys)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tb, err := d.db.Table(phys)
+			if err == nil {
+				err = applyIndexDef(tb, def)
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err == nil {
-			err = applyIndexDef(tb, def)
+			continue
 		}
-		if err != nil {
-			// Unwind the partitions already indexed so state stays uniform.
-			if kind, kerr := kindFromString(def.Kind); kerr == nil {
-				for j := 0; j < i; j++ {
-					if tb, terr := d.db.Table(names[j]); terr == nil {
-						tb.DropIndex(def.Col, kind)
-					}
+		// Unwind the partitions that were indexed so state stays uniform.
+		if kind, kerr := kindFromString(def.Kind); kerr == nil {
+			for j, jerr := range errs {
+				if tb, terr := d.db.Table(names[j]); jerr == nil && terr == nil {
+					tb.DropIndex(def.Col, kind)
 				}
 			}
-			d.mu.Unlock()
-			return err
 		}
+		d.mu.Unlock()
+		return err
 	}
 	meta.Defs = append(meta.Defs, def)
 	payload, err := json.Marshal(ddlIndex{Def: def})

@@ -81,8 +81,20 @@ type hermitOpts struct {
 }
 
 // WithParams overrides the TRS-Tree parameters (default: paper defaults).
+// A zero Params also means the paper defaults.
 func WithParams(p trstree.Params) HermitOption {
+	p = orDefaultParams(p)
 	return func(o *hermitOpts) { o.params = p }
+}
+
+// orDefaultParams maps the zero Params, which no caller means literally
+// (it builds a single leaf with a zero error bound, so nearly every row
+// becomes an outlier), to trstree.DefaultParams.
+func orDefaultParams(p trstree.Params) trstree.Params {
+	if p == (trstree.Params{}) {
+		return trstree.DefaultParams()
+	}
+	return p
 }
 
 // WithBuildWorkers enables parallel TRS-Tree construction.

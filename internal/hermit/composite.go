@@ -2,7 +2,7 @@ package hermit
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -114,7 +114,7 @@ func (x *CompositeIndex) Lookup(aLo, aHi, mLo, mHi float64) Result {
 		res.Breakdown[PhaseHostIndex] += time.Since(t0)
 		t0 = time.Now()
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	slices.Sort(ids)
 	out := make([]storage.RID, 0, len(ids))
 	var prev uint64
 	row := make([]float64, 0, x.table.Width())

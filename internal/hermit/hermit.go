@@ -15,7 +15,7 @@ package hermit
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -280,7 +280,7 @@ func (x *Index) Lookup(lo, hi float64) Result {
 	if x.cfg.Profile {
 		t0 = time.Now()
 	}
-	sort.Slice(rids, func(a, b int) bool { return rids[a] < rids[b] })
+	slices.Sort(rids)
 	out := rids[:0]
 	var prev storage.RID
 	for i, rid := range rids {

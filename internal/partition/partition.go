@@ -569,9 +569,6 @@ func (t *Table) CreateBTreeIndex(col int, markNew bool) error {
 // CreateHermitIndex builds a Hermit index on col hosted by host in every
 // partition. The zero Params value selects the paper defaults.
 func (t *Table) CreateHermitIndex(col, host int, params trstree.Params) error {
-	if params == (trstree.Params{}) {
-		params = trstree.DefaultParams()
-	}
 	return t.mut.createHermit(col, host, params)
 }
 

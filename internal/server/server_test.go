@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"hermit/internal/engine"
 	"hermit/internal/hermit"
 	"hermit/internal/server/proto"
+	"hermit/internal/trstree"
 )
 
 // startServer opens a DurableDB in a temp dir, serves it on a loopback
@@ -569,5 +571,46 @@ func TestBatchAcrossTables(t *testing.T) {
 	}
 	if rows, err := c.Point("p", 0, 4); err != nil || len(rows) != 1 || rows[0][1] != -4 {
 		t.Fatalf("partitioned batch update: rows=%v err=%v", rows, err)
+	}
+}
+
+// TestWireHermitIndexUsesDefaultParams is the regression test for wire DDL
+// building Hermit indexes with zero TRS-Tree params (one leaf, zero error
+// bound, every row an outlier): over the wire, a Hermit index on nonlinear
+// data must split into leaves and keep its outliers within OutlierRatio.
+func TestWireHermitIndexUsesDefaultParams(t *testing.T) {
+	srv, d := startServer(t, Options{})
+	c := dial(t, srv, client.Options{})
+	if err := c.CreateTable("s", []string{"pk", "x", "y"}, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	const rows = 4000
+	for i := 0; i < rows; i++ {
+		x := float64(i) / rows * 1000
+		y := 1000 / (1 + math.Exp(-(x-500)/60))
+		if _, err := d.Insert("s", []float64{float64(i), x, y}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.CreateBTreeIndex("s", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateHermitIndex("s", 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	tb, err := d.Table("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := tb.Hermit(2).Tree()
+	ratio := trstree.DefaultParams().OutlierRatio
+	if tr.LeafCount() <= 1 {
+		t.Fatalf("wire-built tree has %d leaves, want a split tree", tr.LeafCount())
+	}
+	if frac := float64(tr.OutlierCount()) / rows; frac > ratio {
+		t.Fatalf("wire-built tree outlier fraction %.3f exceeds %.3f", frac, ratio)
+	}
+	if got, err := c.Range("s", 2, 400, 600); err != nil || len(got) == 0 {
+		t.Fatalf("hermit range: %d rows, err %v", len(got), err)
 	}
 }

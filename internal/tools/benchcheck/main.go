@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -42,32 +43,39 @@ func main() {
 		expect = flag.Int("expect-gomaxprocs", 0, "require every artifact to record this gomaxprocs (0 = only require presence)")
 	)
 	flag.Parse()
+	os.Exit(run(*dir, *expect, os.Stdout, os.Stderr))
+}
 
-	paths, err := filepath.Glob(filepath.Join(*dir, "BENCH_*.json"))
+// run checks every BENCH_*.json artifact in dir, reporting each to stdout
+// or stderr, and returns the process exit code: 0 when all pass, 1 when
+// any fails or none exist, 2 on a bad glob.
+func run(dir string, expectGomaxprocs int, stdout, stderr io.Writer) int {
+	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchcheck: %v\n", err)
+		return 2
 	}
 	if len(paths) == 0 {
-		fmt.Fprintf(os.Stderr, "benchcheck: no BENCH_*.json artifacts in %s\n", *dir)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "benchcheck: no BENCH_*.json artifacts in %s\n", dir)
+		return 1
 	}
 	sort.Strings(paths)
 
 	bad := 0
 	for _, path := range paths {
-		if err := check(path, *expect); err != nil {
-			fmt.Fprintf(os.Stderr, "benchcheck: %s: %v\n", filepath.Base(path), err)
+		if err := check(path, expectGomaxprocs); err != nil {
+			fmt.Fprintf(stderr, "benchcheck: %s: %v\n", filepath.Base(path), err)
 			bad++
 			continue
 		}
-		fmt.Printf("benchcheck: %s ok\n", filepath.Base(path))
+		fmt.Fprintf(stdout, "benchcheck: %s ok\n", filepath.Base(path))
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "benchcheck: %d of %d artifacts failed\n", bad, len(paths))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "benchcheck: %d of %d artifacts failed\n", bad, len(paths))
+		return 1
 	}
-	fmt.Printf("benchcheck: %d artifacts ok\n", len(paths))
+	fmt.Fprintf(stdout, "benchcheck: %d artifacts ok\n", len(paths))
+	return 0
 }
 
 // check validates one artifact file.

@@ -1,10 +1,12 @@
 package trstree
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -21,11 +23,11 @@ var fitLinear = stats.FitLinear
 var ErrNoData = errors.New("trstree: no data and no range to build over")
 
 // Build constructs a TRS-Tree over the given pairs using Algorithm 1. The
-// pairs slice is reordered in place (it is partitioned recursively). lo and
-// hi give the target column's full range R; if lo > hi the range is derived
-// from the data.
+// pairs slice is sorted in place. lo and hi give the target column's full
+// range R; if lo > hi the range is derived from the data.
 func Build(pairs []Pair, lo, hi float64, params Params) (*Tree, error) {
 	params = params.sanitize()
+	sortPairs(pairs)
 	if lo > hi {
 		if len(pairs) == 0 {
 			return nil, ErrNoData
@@ -61,6 +63,7 @@ func BuildParallel(pairs []Pair, lo, hi float64, params Params, workers int) (*T
 	if workers > runtime.NumCPU()*4 {
 		workers = runtime.NumCPU() * 4
 	}
+	sortPairs(pairs)
 	if lo > hi {
 		if len(pairs) == 0 {
 			return nil, ErrNoData
@@ -97,7 +100,7 @@ func (pb *parallelBuilder) build(pairs []Pair, lo, hi float64, depth int, leftEd
 	}
 	k := pb.params.NodeFanout
 	buckets := partition(pairs, lo, hi, k)
-	n := &node{lo: lo, hi: hi, children: make([]*node, k)}
+	n := &node{lo: lo, hi: hi, leftEdge: leftEdge, rightEdge: rightEdge, children: make([]*node, k)}
 	w := (hi - lo) / float64(k)
 	var wg sync.WaitGroup
 	for i := 0; i < k; i++ {
@@ -142,7 +145,7 @@ func (b *builder) build(pairs []Pair, lo, hi float64, depth int, leftEdge, right
 	}
 	k := b.params.NodeFanout
 	buckets := partition(pairs, lo, hi, k)
-	n := &node{lo: lo, hi: hi, children: make([]*node, k)}
+	n := &node{lo: lo, hi: hi, leftEdge: leftEdge, rightEdge: rightEdge, children: make([]*node, k)}
 	w := (hi - lo) / float64(k)
 	for i := 0; i < k; i++ {
 		clo := lo + float64(i)*w
@@ -183,6 +186,7 @@ func (b *builder) tryLeaf(pairs []Pair, lo, hi float64, depth int, leftEdge, rig
 		for i, p := range outliers {
 			leaf.outliers[i] = outlierEntry{m: p.M, id: p.ID}
 		}
+		slices.SortFunc(leaf.outliers, compareOutlier)
 	}
 	return leaf, true
 }
@@ -257,7 +261,10 @@ func fitAndValidate(pairs []Pair, lo, hi float64, params Params) (m lmodel, eps 
 	}
 	eps = deriveEps(model.Beta, lo, hi, params.ErrorBound, len(pairs))
 	for _, p := range pairs {
-		if math.Abs(p.N-model.Predict(p.M)) > eps {
+		// Pairs beyond [lo, hi] reach an edge leaf only on a rebuild;
+		// lookups consult the model over [lo, hi] alone, so they must be
+		// outliers, exactly as Insert treats them.
+		if p.M < lo || p.M > hi || math.Abs(p.N-model.Predict(p.M)) > eps {
 			outliers = append(outliers, p)
 		}
 	}
@@ -416,54 +423,37 @@ func deriveEps(beta, lo, hi, errorBound float64, n int) float64 {
 	return eps
 }
 
-// partition distributes pairs into k equal sub-ranges of [lo, hi]
-// (Algorithm 1's SplitTable). The input slice's storage is reused.
+// partition splits pairs, sorted by M, into the k equal sub-ranges of
+// [lo, hi] (Algorithm 1's SplitTable). bucketIndex is monotone in M, so
+// each sub-range is one contiguous run, found by binary search; the
+// buckets alias pairs.
 func partition(pairs []Pair, lo, hi float64, k int) [][]Pair {
-	buckets := make([][]Pair, k)
-	if len(pairs) == 0 {
-		return buckets
-	}
 	w := (hi - lo) / float64(k)
-	// Counting pass then stable placement into one backing array keeps
-	// allocation linear instead of per-append.
-	counts := make([]int, k)
-	idx := func(m float64) int {
-		if w <= 0 {
-			return 0
-		}
-		i := int((m - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= k {
-			i = k - 1
-		}
-		return i
-	}
-	for _, p := range pairs {
-		counts[idx(p.M)]++
-	}
-	backing := make([]Pair, len(pairs))
-	offsets := make([]int, k)
-	sum := 0
-	for i, c := range counts {
-		offsets[i] = sum
-		sum += c
-	}
-	cursor := append([]int(nil), offsets...)
-	for _, p := range pairs {
-		i := idx(p.M)
-		backing[cursor[i]] = p
-		cursor[i]++
-	}
-	for i := 0; i < k; i++ {
-		end := offsets[i] + counts[i]
-		buckets[i] = backing[offsets[i]:end:end]
+	buckets := make([][]Pair, k)
+	for i := range buckets {
+		n := sort.Search(len(pairs), func(j int) bool { return bucketIndex(pairs[j].M, lo, w, k) > i })
+		buckets[i], pairs = pairs[:n:n], pairs[n:]
 	}
 	return buckets
 }
 
+// sortPairs orders pairs by (M, N, ID). Fitting samples pairs by position
+// and partition needs them sorted by M; sorting first makes the tree a
+// function of the pairs' values alone, not of the order a table scan
+// returned them in (concurrent loads reorder rows).
+func sortPairs(pairs []Pair) {
+	slices.SortFunc(pairs, func(a, b Pair) int {
+		if c := cmp.Compare(a.M, b.M); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.N, b.N); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+}
+
 // sortRanges orders ranges by Lo; used by the lookup union step.
 func sortRanges(rs []Range) {
-	sort.Slice(rs, func(a, b int) bool { return rs[a].Lo < rs[b].Lo })
+	slices.SortFunc(rs, func(a, b Range) int { return cmp.Compare(a.Lo, b.Lo) })
 }

@@ -1,6 +1,10 @@
 package trstree
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // Result is the output of a TRS-Tree lookup (Algorithm 2): a set of
 // approximate ranges on the host column N, to be resolved against the host
@@ -67,14 +71,20 @@ func (t *Tree) lookupNode(n *node, lo, hi float64, res *Result) {
 		res.Ranges = append(res.Ranges, Range{Lo: rlo, Hi: rhi})
 	}
 	// Outlier retrieval uses the edge-extended range so that tuples beyond
-	// the build-time range R are still found.
+	// the build-time range R are still found. The buffer is sorted by m,
+	// so the matches are one contiguous run starting at the first entry
+	// >= olo.
 	olo := math.Max(lo, n.effectiveLo())
 	ohi := math.Min(hi, n.effectiveHi())
 	if olo <= ohi {
-		for _, e := range n.outliers {
-			if e.m >= olo && e.m <= ohi {
-				res.IDs = append(res.IDs, e.id)
+		i, _ := slices.BinarySearchFunc(n.outliers, olo, func(e outlierEntry, m float64) int {
+			return cmp.Compare(e.m, m)
+		})
+		for _, e := range n.outliers[i:] {
+			if e.m > ohi {
+				break
 			}
+			res.IDs = append(res.IDs, e.id)
 		}
 	}
 }

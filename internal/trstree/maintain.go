@@ -3,6 +3,7 @@ package trstree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -84,27 +85,24 @@ func (t *Tree) Update(m, oldN, newN float64, id uint64) {
 	}
 }
 
-// addOutlier records (m, id), ignoring exact duplicates so that reorg
-// replay cannot double-insert.
+// addOutlier records (m, id) at its sorted slot, ignoring exact
+// duplicates so that reorg replay cannot double-insert.
 func (n *node) addOutlier(m float64, id uint64) {
-	for _, e := range n.outliers {
-		if e.id == id && e.m == m {
-			return
-		}
+	e := outlierEntry{m: m, id: id}
+	i, found := slices.BinarySearchFunc(n.outliers, e, compareOutlier)
+	if !found {
+		n.outliers = slices.Insert(n.outliers, i, e)
 	}
-	n.outliers = append(n.outliers, outlierEntry{m: m, id: id})
 }
 
+// removeOutlier deletes (m, id) from the buffer, keeping it sorted, and
+// reports whether the entry was present.
 func (n *node) removeOutlier(m float64, id uint64) bool {
-	for i, e := range n.outliers {
-		if e.id == id && e.m == m {
-			last := len(n.outliers) - 1
-			n.outliers[i] = n.outliers[last]
-			n.outliers = n.outliers[:last]
-			return true
-		}
+	i, found := slices.BinarySearchFunc(n.outliers, outlierEntry{m: m, id: id}, compareOutlier)
+	if found {
+		n.outliers = slices.Delete(n.outliers, i, i+1)
 	}
-	return false
+	return found
 }
 
 func (t *Tree) bufferOp(op bufferedOp) {
@@ -251,16 +249,23 @@ func (t *Tree) rebuildLocked(target, parent *node, depth int, src DataSource) (b
 	return true, nil
 }
 
+// collectPairs rescans the tuples routed to target. The scan is closed,
+// but a value equal to target.hi routes to the next sibling (traversal
+// splits ranges half-open), so it is dropped unless target is the right
+// edge; otherwise it would gain a second, undeletable buffer entry here.
 func collectPairs(src DataSource, target *node) ([]Pair, error) {
 	var pairs []Pair
 	err := src.ScanMRange(target.effectiveLo(), target.effectiveHi(), func(m, n float64, id uint64) bool {
-		pairs = append(pairs, Pair{M: m, N: n, ID: id})
+		if m < target.hi || target.rightEdge {
+			pairs = append(pairs, Pair{M: m, N: n, ID: id})
+		}
 		return true
 	})
 	return pairs, err
 }
 
 func buildReplacement(pairs []Pair, target *node, depth int, params Params) (*node, error) {
+	sortPairs(pairs)
 	b := builder{params: params, rng: rand.New(rand.NewSource(time.Now().UnixNano()))}
 	return b.build(pairs, target.lo, target.hi, depth, target.leftEdge, target.rightEdge), nil
 }

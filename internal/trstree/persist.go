@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 )
 
 // Snapshot format: the paper (§6) requires the RDBMS to periodically
@@ -18,6 +19,7 @@ import (
 //	magic "TRST", version uint16, Params, root bounds
 //	per node: flags byte (leaf | leftEdge | rightEdge), lo, hi
 //	  leaf:     beta, alpha, eps, count, deleted, n outliers, entries
+//	            (entries sorted by (m, id); Load sorts older unsorted ones)
 //	  internal: child count, then children pre-order
 //
 // Snapshots capture a consistent point-in-time image (the read latch is
@@ -176,6 +178,10 @@ func readNodeSnapshot(r io.Reader, depth int) (*node, error) {
 					return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 				}
 			}
+			// Snapshots written before buffers were kept sorted hold
+			// them in insertion order; restore the (m, id) order lookups
+			// rely on. Sorting an already-sorted buffer is one pass.
+			slices.SortFunc(n.outliers, compareOutlier)
 		}
 		return n, nil
 	}

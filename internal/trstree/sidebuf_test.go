@@ -9,7 +9,7 @@ import (
 // a reorganization in its scan phase so the test can observe the tree
 // while writers are being diverted to the temporal side buffer.
 type blockingSource struct {
-	inner   *sliceSource
+	inner   DataSource
 	started chan struct{}
 	release chan struct{}
 	once    sync.Once

@@ -19,14 +19,16 @@
 package trstree
 
 import (
+	"cmp"
 	"math"
 	"sync"
 
 	"hermit/internal/stats"
 )
 
-// Params are the user-defined TRS-Tree parameters (paper §4.5). The zero
-// value is not meaningful; use DefaultParams and override fields.
+// Params are the user-defined TRS-Tree parameters (paper §4.5). Build
+// takes them literally, clamped to safe values; start from DefaultParams
+// and override fields. (The engine maps the zero value to DefaultParams.)
 type Params struct {
 	// NodeFanout is the number of equal sub-ranges a node splits into.
 	NodeFanout int
@@ -119,9 +121,10 @@ type DataSource interface {
 // fitted model, confidence interval and outlier buffer.
 type node struct {
 	lo, hi float64 // sub-range of the target column (closed)
-	// leftEdge/rightEdge mark the outermost leaves of the whole tree; their
-	// effective range is extended to ±inf so values outside the build-time
-	// range R still have a home (they are always treated as outliers).
+	// leftEdge/rightEdge mark the nodes on the outer edges of the whole
+	// tree, internal and leaf alike; their effective range is extended to
+	// ±inf so values outside the build-time range R still have a home
+	// (they are always treated as outliers) and lookups descend to it.
 	leftEdge, rightEdge bool
 
 	children []*node // nil for leaves
@@ -130,7 +133,10 @@ type node struct {
 	eps   float64
 	// outliers is the leaf's outlier buffer: pairs the linear function
 	// fails to cover, stored compactly (16 bytes each) because for noisy
-	// workloads the buffers dominate the index footprint (§7.2).
+	// workloads the buffers dominate the index footprint (§7.2). The
+	// buffer is kept sorted by (m, id) under compareOutlier, so a lookup
+	// binary-searches to its first match and costs O(log n + matches),
+	// and insert/delete find their slot in O(log n) plus one memmove.
 	outliers []outlierEntry
 	count    int // live tuples covered by this leaf's range
 	deleted  int // deletes observed since the leaf was (re)built
@@ -141,6 +147,17 @@ type node struct {
 type outlierEntry struct {
 	m  float64
 	id uint64
+}
+
+// compareOutlier orders buffer entries by (m, id). cmp.Compare places NaN
+// before every other value and treats NaN as equal to itself, so a NaN
+// entry has a fixed slot: range lookups never reach it (no predicate
+// matches NaN) and deleting the same (NaN, id) removes it.
+func compareOutlier(a, b outlierEntry) int {
+	if c := cmp.Compare(a.m, b.m); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
 }
 
 func (n *node) isLeaf() bool { return n.children == nil }
@@ -273,19 +290,27 @@ func (t *Tree) traverse(m float64) *node {
 
 // childIndex picks the child sub-range containing m, clamped to the edges.
 func childIndex(n *node, m float64) int {
-	k := len(n.children)
-	w := n.width() / float64(k)
-	if w <= 0 || math.IsNaN(w) {
+	return bucketIndex(m, n.lo, n.width()/float64(len(n.children)), len(n.children))
+}
+
+// bucketIndex returns which of k sub-ranges of width w starting at lo
+// holds m, clamped to [0, k). The clamp is done in floating point because
+// converting ±Inf or NaN to int is implementation-defined: +Inf must land
+// in the right edge bucket, -Inf and NaN in the left one. Build's
+// partitioning and traversal share it, so a value is always routed to
+// the leaf it was built into.
+func bucketIndex(m, lo, w float64, k int) int {
+	if !(w > 0) {
 		return 0
 	}
-	i := int((m - n.lo) / w)
-	if i < 0 {
+	f := (m - lo) / w
+	switch {
+	case !(f >= 0):
 		return 0
-	}
-	if i >= k {
+	case f >= float64(k):
 		return k - 1
 	}
-	return i
+	return int(f)
 }
 
 // effectiveLo/effectiveHi give a leaf's range extended to infinity at the

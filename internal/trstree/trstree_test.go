@@ -1,6 +1,7 @@
 package trstree
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"sort"
@@ -496,6 +497,27 @@ func TestBuildParallelEquivalentResults(t *testing.T) {
 		hi := lo + rng.Float64()*50
 		checkRecall(t, seq, pairs, lo, hi)
 		checkRecall(t, par, pairs, lo, hi)
+	}
+}
+
+// TestBuildIgnoresInputOrder: the tree is a function of the pairs' values,
+// not of the order a table scan returned them in, so two loads of the same
+// rows in different interleavings build byte-identical snapshots.
+func TestBuildIgnoresInputOrder(t *testing.T) {
+	pairs := genSigmoid(20000, 1000, 0.02, 23)
+	shuffled := append([]Pair(nil), pairs...)
+	rand.New(rand.NewSource(24)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	var a, b bytes.Buffer
+	if err := mustBuild(t, pairs, DefaultParams()).Save(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := mustBuild(t, shuffled, DefaultParams()).Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("trees built from the same pairs in two orders differ")
 	}
 }
 
