@@ -17,6 +17,19 @@ STATICCHECK_VERSION = 2025.1.1
 # records; bench-all runs them in one invocation after the fig4 smoke.
 BENCH_EXPERIMENTS = concurrency,durability,compaction,advisor,partition,txn,server,repl,scenarios,hotpath
 
+# FUZZ_TARGETS names every native fuzz target as package:Func (go test
+# -fuzz accepts one target per run); `make fuzz` runs each for FUZZTIME
+# beyond its seed corpus. A crasher is written under the package's
+# testdata/fuzz; commit it with the fix so the seed run keeps it.
+FUZZTIME = 10s
+FUZZ_TARGETS = \
+	./internal/server/proto:FuzzDecodeFrame \
+	./internal/server/proto:FuzzDecodeStream \
+	./internal/server/proto:FuzzDecodeReplFrame \
+	./internal/wal:FuzzReplayArbitraryBytes \
+	./internal/block:FuzzDecodeBlock \
+	./internal/block:FuzzDecodeBlocklist
+
 # PROFILE_DIR receives the pb.gz profiles `make profile` captures; CI
 # uploads it as the profiles artifact.
 PROFILE_DIR = profiles
@@ -28,7 +41,7 @@ ifdef GOMAXPROCS
 export GOMAXPROCS
 endif
 
-.PHONY: build build-examples perfbench test race cover difftest bench bench-all bench-check bench-concurrency bench-durability bench-compaction bench-advisor bench-partition bench-txn bench-server bench-repl bench-scenarios bench-hotpath profile fmt fmt-check vet staticcheck doc-check ci
+.PHONY: build build-examples perfbench test race cover difftest fuzz bench bench-all bench-check bench-concurrency bench-durability bench-compaction bench-advisor bench-partition bench-txn bench-server bench-repl bench-scenarios bench-hotpath profile fmt fmt-check vet staticcheck doc-check ci
 
 build:
 	$(GO) build ./...
@@ -71,6 +84,14 @@ cover:
 # detector.
 difftest:
 	$(GO) test -race -run TestDifferential ./internal/difftest -difftest.ops 10000
+
+# Time-budgeted fuzzing: every target in FUZZ_TARGETS for FUZZTIME each.
+fuzz:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t##*:}; \
+		echo "fuzz $$fn ($$pkg, $(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	done
 
 # Bench smoke: one figure at tiny scale proves the harness end-to-end.
 bench: build
@@ -179,4 +200,4 @@ staticcheck:
 doc-check:
 	$(GO) run ./internal/tools/doccheck . ./internal/engine ./internal/block ./internal/advisor ./internal/partition ./internal/difftest ./internal/server ./internal/server/proto ./internal/client ./internal/repl ./internal/scenario
 
-ci: fmt-check vet staticcheck doc-check cover build-examples perfbench bench-all bench-check difftest
+ci: fmt-check vet staticcheck doc-check cover build-examples perfbench bench-all bench-check difftest fuzz

@@ -342,8 +342,6 @@ var (
 	DefaultDiscovery = correlation.DefaultConfig
 	// WithParams overrides TRS-Tree parameters at index creation.
 	WithParams = engine.WithParams
-	// WithBuildWorkers enables parallel TRS-Tree construction (App. D.2).
-	WithBuildWorkers = engine.WithBuildWorkers
 	// WithProfile enables per-phase lookup timing.
 	WithProfile = engine.WithProfile
 )

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"hermit/internal/engine"
@@ -477,11 +478,16 @@ func Fig21Construction(cfg Config) error {
 		fmt.Fprintf(cfg.Out, "%-10s %14s\n", "threads", "elapsed")
 		for _, threads := range []int{1, 2, 4, 6, 8} {
 			cp := append([]trstree.Pair(nil), pairs...)
+			// Build uses up to GOMAXPROCS goroutines (App. D.2).
+			prev := runtime.GOMAXPROCS(threads)
 			start := time.Now()
-			if _, err := trstree.BuildParallel(cp, 0, workload.SyntheticSpan, defaultParams(), threads); err != nil {
+			_, err := trstree.Build(cp, 0, workload.SyntheticSpan, defaultParams())
+			elapsed := time.Since(start)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
 				return err
 			}
-			fmt.Fprintf(cfg.Out, "%-10d %14s\n", threads, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(cfg.Out, "%-10d %14s\n", threads, elapsed.Round(time.Millisecond))
 		}
 		// Reference: single-thread B+-tree bulk load (§7.5 baseline).
 		tb, err := buildSynthetic(cfg, hermit.PhysicalPointers, n, fn, 0.01)

@@ -68,13 +68,21 @@ func (t *Tree) Height() int {
 	return h
 }
 
-// cmpKV orders composite (key, value) pairs.
+// cmpKV orders composite (key, value) pairs. Keys follow cmp.Compare
+// order: a NaN key sorts before every other key, so NaN entries have a
+// fixed slot at the front, where range scans, which seek to lo, never
+// reach them. It is spelled out with plain comparisons rather than calling
+// cmp.Compare so that it stays cheap and inlined in every descent.
 func cmpKV(k1 float64, v1 uint64, k2 float64, v2 uint64) int {
 	switch {
 	case k1 < k2:
 		return -1
 	case k1 > k2:
 		return 1
+	case k1 == k1 && k2 != k2: // only k2 is NaN
+		return 1
+	case k1 != k1 && k2 == k2: // only k1 is NaN
+		return -1
 	case v1 < v2:
 		return -1
 	case v1 > v2:
@@ -214,7 +222,7 @@ func (t *Tree) Contains(key float64, id uint64) bool {
 // Scan calls fn for every entry with lo <= key <= hi in ascending (key, id)
 // order. Scanning stops early if fn returns false.
 func (t *Tree) Scan(lo, hi float64, fn func(key float64, id uint64) bool) {
-	if lo > hi {
+	if !(lo <= hi) { // also refuses NaN bounds
 		return
 	}
 	n := t.root

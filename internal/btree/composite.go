@@ -36,23 +36,12 @@ func NewComposite(order int) *CompositeTree {
 // Len returns the number of entries.
 func (t *CompositeTree) Len() int { return t.size }
 
+// cmp3 orders (a, b, id) entries; like cmpKV it sorts NaN first.
 func cmp3(a1, b1 float64, v1 uint64, a2, b2 float64, v2 uint64) int {
-	switch {
-	case a1 < a2:
-		return -1
-	case a1 > a2:
-		return 1
-	case b1 < b2:
-		return -1
-	case b1 > b2:
-		return 1
-	case v1 < v2:
-		return -1
-	case v1 > v2:
-		return 1
-	default:
-		return 0
+	if c := cmpKV(a1, 0, a2, 0); c != 0 {
+		return c
 	}
+	return cmpKV(b1, v1, b2, v2)
 }
 
 func (n *cnode) search(a, b float64, v uint64) int {
@@ -171,7 +160,7 @@ func (t *CompositeTree) Delete(a, b float64, id uint64) bool {
 // ascending (a, b, id) order. Navigation seeks the leading component; the
 // second component is filtered during the leaf walk.
 func (t *CompositeTree) Scan(aLo, aHi, bLo, bHi float64, fn func(a, b float64, id uint64) bool) {
-	if aLo > aHi || bLo > bHi {
+	if !(aLo <= aHi && bLo <= bHi) { // also refuses NaN bounds
 		return
 	}
 	n := t.root
@@ -184,7 +173,7 @@ func (t *CompositeTree) Scan(aLo, aHi, bLo, bHi float64, fn func(a, b float64, i
 			if n.a[i] > aHi {
 				return
 			}
-			if n.b[i] < bLo || n.b[i] > bHi {
+			if !(n.b[i] >= bLo && n.b[i] <= bHi) { // skips NaN b
 				continue
 			}
 			if !fn(n.a[i], n.b[i], n.tie[i]) {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"sync"
@@ -63,7 +64,8 @@ func (t *Table) CreateCompositeBTreeIndex(aCol, bCol int, markNew bool) (*btree.
 }
 
 // abIDSorter orders the parallel composite bulk-load arrays jointly by
-// (a, b, id), swapping all three slices in lockstep.
+// (a, b, id), NaN first as btree.CompositeTree.BulkLoad expects,
+// swapping all three slices in lockstep.
 type abIDSorter struct {
 	as, bs []float64
 	ids    []uint64
@@ -72,11 +74,11 @@ type abIDSorter struct {
 func (s abIDSorter) Len() int { return len(s.as) }
 
 func (s abIDSorter) Less(x, y int) bool {
-	if s.as[x] != s.as[y] {
-		return s.as[x] < s.as[y]
+	if c := cmp.Compare(s.as[x], s.as[y]); c != 0 {
+		return c < 0
 	}
-	if s.bs[x] != s.bs[y] {
-		return s.bs[x] < s.bs[y]
+	if c := cmp.Compare(s.bs[x], s.bs[y]); c != 0 {
+		return c < 0
 	}
 	return s.ids[x] < s.ids[y]
 }

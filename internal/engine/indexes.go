@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
@@ -51,7 +52,8 @@ func (t *Table) CreateBTreeIndex(col int, markNew bool) (*btree.Tree, error) {
 }
 
 // keyIDSorter orders the parallel key/id bulk-load arrays jointly by
-// (key, id), swapping both slices in lockstep.
+// (key, id), NaN keys first as btree.BulkLoad expects, swapping both
+// slices in lockstep.
 type keyIDSorter struct {
 	keys []float64
 	ids  []uint64
@@ -60,8 +62,8 @@ type keyIDSorter struct {
 func (s keyIDSorter) Len() int { return len(s.keys) }
 
 func (s keyIDSorter) Less(a, b int) bool {
-	if s.keys[a] != s.keys[b] {
-		return s.keys[a] < s.keys[b]
+	if c := cmp.Compare(s.keys[a], s.keys[b]); c != 0 {
+		return c < 0
 	}
 	return s.ids[a] < s.ids[b]
 }
@@ -76,7 +78,6 @@ type HermitOption func(*hermitOpts)
 
 type hermitOpts struct {
 	params  trstree.Params
-	workers int
 	profile bool
 }
 
@@ -95,11 +96,6 @@ func orDefaultParams(p trstree.Params) trstree.Params {
 		return trstree.DefaultParams()
 	}
 	return p
-}
-
-// WithBuildWorkers enables parallel TRS-Tree construction.
-func WithBuildWorkers(n int) HermitOption {
-	return func(o *hermitOpts) { o.workers = n }
 }
 
 // WithProfile enables per-phase lookup timing on the index.
@@ -136,13 +132,12 @@ func (t *Table) CreateHermitIndex(col, hostCol int, opts ...HermitOption) (*herm
 		opt(&o)
 	}
 	cfg := hermit.Config{
-		TargetCol:    col,
-		HostCol:      hostCol,
-		PKCol:        t.pkCol,
-		Scheme:       t.scheme,
-		Params:       o.params,
-		BuildWorkers: o.workers,
-		Profile:      o.profile,
+		TargetCol: col,
+		HostCol:   hostCol,
+		PKCol:     t.pkCol,
+		Scheme:    t.scheme,
+		Params:    o.params,
+		Profile:   o.profile,
 	}
 	// Hosting on the primary index is only sound when it stores the same
 	// identifier kind the Hermit lookup expects.

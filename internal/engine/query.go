@@ -155,6 +155,12 @@ func (t *Table) RangeQueryAtInto(snap *Snapshot, col int, lo, hi float64, dst []
 	if col < 0 || col >= len(t.cols) {
 		return nil, QueryStats{}, ErrNoSuchColumn
 	}
+	if !(lo <= hi) {
+		// An inverted predicate, or one with a NaN bound, matches no row.
+		// Index scans stop at the first key above hi, which a NaN hi
+		// never finds, so this must be settled before any path runs.
+		return dst[:0], QueryStats{}, nil
+	}
 	t.catalog.RLock()
 	defer t.catalog.RUnlock()
 	var chosen AccessPath

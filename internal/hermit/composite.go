@@ -59,23 +59,13 @@ func NewComposite(table *storage.Table, host *btree.CompositeTree, cfg Composite
 		cfg.HostCol < 0 || cfg.HostCol >= w {
 		return nil, fmt.Errorf("hermit: composite column out of range")
 	}
-	pairs := make([]trstree.Pair, 0, table.Len())
-	err := table.ScanPairs(cfg.TargetCol, cfg.HostCol, func(rid storage.RID, m, n float64) bool {
-		pairs = append(pairs, trstree.Pair{M: m, N: n, ID: uint64(rid)})
-		return true
-	})
+	x := &CompositeIndex{cfg: cfg, table: table, host: host}
+	tree, err := buildTree(x.source(), cfg.Params)
 	if err != nil {
 		return nil, err
 	}
-	lo, hi, ok := table.ColumnBounds(cfg.TargetCol)
-	if !ok {
-		lo, hi = 0, 1
-	}
-	tree, err := trstree.Build(pairs, lo, hi, cfg.Params)
-	if err != nil {
-		return nil, err
-	}
-	return &CompositeIndex{cfg: cfg, table: table, tree: tree, host: host}, nil
+	x.tree = tree
+	return x, nil
 }
 
 // Tree exposes the TRS-Tree for statistics and maintenance.
@@ -165,18 +155,8 @@ func (x *CompositeIndex) Delete(rid storage.RID, m, n float64) {
 }
 
 // Source returns the reorganization data source for the index.
-func (x *CompositeIndex) Source() trstree.DataSource {
-	return compositeSource{x}
-}
+func (x *CompositeIndex) Source() trstree.DataSource { return x.source() }
 
-type compositeSource struct{ x *CompositeIndex }
-
-func (s compositeSource) ScanMRange(lo, hi float64, fn func(m, n float64, id uint64) bool) error {
-	return s.x.table.ScanPairs(s.x.cfg.TargetCol, s.x.cfg.HostCol,
-		func(rid storage.RID, m, n float64) bool {
-			if m < lo || m > hi {
-				return true
-			}
-			return fn(m, n, uint64(rid))
-		})
+func (x *CompositeIndex) source() tableSource {
+	return tableSource{x.table, x.cfg.TargetCol, x.cfg.HostCol, func(rid storage.RID) uint64 { return uint64(rid) }}
 }

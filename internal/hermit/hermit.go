@@ -15,6 +15,7 @@ package hermit
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -114,8 +115,6 @@ type Config struct {
 	Scheme PointerScheme
 	// Params configures the TRS-Tree.
 	Params trstree.Params
-	// BuildWorkers > 1 enables the parallel construction of Appendix D.2.
-	BuildWorkers int
 	// Profile enables per-phase timing; leave off in throughput runs to
 	// avoid clock overhead.
 	Profile bool
@@ -156,29 +155,32 @@ func New(table *storage.Table, host, primary *btree.Tree, cfg Config) (*Index, e
 		return nil, ErrNeedPrimary
 	}
 	idx := &Index{cfg: cfg, table: table, host: host, primary: primary}
-	pairs := make([]trstree.Pair, 0, table.Len())
-	err := table.ScanPairs(cfg.TargetCol, cfg.HostCol, func(rid storage.RID, m, n float64) bool {
-		pairs = append(pairs, trstree.Pair{M: m, N: n, ID: idx.identify(rid)})
-		return true
-	})
-	if err != nil {
-		return nil, fmt.Errorf("hermit: scanning table: %w", err)
-	}
-	lo, hi, ok := table.ColumnBounds(cfg.TargetCol)
-	if !ok {
-		lo, hi = 0, 1 // empty table: any range works; inserts extend via edge leaves
-	}
-	var tree *trstree.Tree
-	if cfg.BuildWorkers > 1 {
-		tree, err = trstree.BuildParallel(pairs, lo, hi, cfg.Params, cfg.BuildWorkers)
-	} else {
-		tree, err = trstree.Build(pairs, lo, hi, cfg.Params)
-	}
+	tree, err := buildTree(idx.source(), cfg.Params)
 	if err != nil {
 		return nil, err
 	}
 	idx.tree = tree
 	return idx, nil
+}
+
+// buildTree scans src's (target, host, identifier) projection and builds
+// the TRS-Tree over the target column's range.
+func buildTree(src tableSource, params trstree.Params) (*trstree.Tree, error) {
+	pairs := make([]trstree.Pair, 0, src.table.Len())
+	err := src.ScanMRange(math.Inf(-1), math.Inf(1), func(m, n float64, id uint64) bool {
+		pairs = append(pairs, trstree.Pair{M: m, N: n, ID: id})
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("hermit: scanning table: %w", err)
+	}
+	lo, hi, ok := src.table.ColumnBounds(src.target)
+	if !ok || lo > hi {
+		// Empty table, or only NaN targets: any range works; inserts
+		// extend it through the edge leaves.
+		lo, hi = 0, 1
+	}
+	return trstree.Build(pairs, lo, hi, params)
 }
 
 // identify converts a physical RID into the identifier stored in indexes
@@ -348,18 +350,25 @@ func (x *Index) Update(rid storage.RID, m, oldN, newN float64) {
 // Source returns a trstree.DataSource view of the base table for the
 // reorganizer: it projects (target, host, identifier) for rows whose target
 // value falls in the requested range.
-func (x *Index) Source() trstree.DataSource {
-	return tableSource{x}
+func (x *Index) Source() trstree.DataSource { return x.source() }
+
+func (x *Index) source() tableSource {
+	return tableSource{x.table, x.cfg.TargetCol, x.cfg.HostCol, x.identify}
 }
 
-type tableSource struct{ x *Index }
+// tableSource projects a table's (target, host) column pair, naming each
+// row by the index's identifier scheme.
+type tableSource struct {
+	table        *storage.Table
+	target, host int
+	identify     func(storage.RID) uint64
+}
 
 func (s tableSource) ScanMRange(lo, hi float64, fn func(m, n float64, id uint64) bool) error {
-	return s.x.table.ScanPairs(s.x.cfg.TargetCol, s.x.cfg.HostCol,
-		func(rid storage.RID, m, n float64) bool {
-			if m < lo || m > hi {
-				return true
-			}
-			return fn(m, n, s.x.identify(rid))
-		})
+	return s.table.ScanPairs(s.target, s.host, func(rid storage.RID, m, n float64) bool {
+		if m < lo || m > hi {
+			return true
+		}
+		return fn(m, n, s.identify(rid))
+	})
 }

@@ -383,22 +383,6 @@ func TestReorgThroughSource(t *testing.T) {
 	}
 }
 
-func TestBuildParallelWorkers(t *testing.T) {
-	f := newFixture(t, 30000, sigmoidFn, 0.02, PhysicalPointers, 16)
-	cfg := Config{
-		TargetCol: 2, HostCol: 1, Scheme: PhysicalPointers,
-		Params: trstree.DefaultParams(), BuildWorkers: 4,
-	}
-	idx, err := New(f.table, f.host, f.primary, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := idx.Lookup(200, 300)
-	if !sameRIDs(res.RIDs, f.expected(200, 300)) {
-		t.Fatal("parallel-built index returned wrong results")
-	}
-}
-
 func TestEmptyTableIndex(t *testing.T) {
 	tb := storage.NewTable(4)
 	host := btree.New(btree.DefaultOrder)
@@ -416,6 +400,37 @@ func TestEmptyTableIndex(t *testing.T) {
 	idx.Insert(rid, row[2], row[1])
 	res := idx.Lookup(10, 10)
 	if len(res.RIDs) != 1 || res.RIDs[0] != rid {
+		t.Fatalf("late insert not found: %+v", res)
+	}
+}
+
+// TestAllNaNTargetIndex: a target column holding only NaN gives no range
+// to build over, so New falls back to the empty table's range; rows
+// inserted later are still found.
+func TestAllNaNTargetIndex(t *testing.T) {
+	tb := storage.NewTable(4)
+	host := btree.New(btree.DefaultOrder)
+	insert := func(row []float64) storage.RID {
+		rid, err := tb.Insert(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		host.Insert(row[1], uint64(rid))
+		return rid
+	}
+	for i := 0; i < 10; i++ {
+		insert([]float64{float64(i), float64(i), math.NaN(), 0})
+	}
+	idx, err := New(tb, host, nil, Config{TargetCol: 2, HostCol: 1, Params: trstree.DefaultParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := idx.Lookup(math.Inf(-1), math.Inf(1)); len(res.RIDs) != 0 {
+		t.Fatalf("NaN targets matched a range: %+v", res)
+	}
+	rid := insert([]float64{10, 50, 10, 0})
+	idx.Insert(rid, 10, 50)
+	if res := idx.Lookup(10, 10); len(res.RIDs) != 1 || res.RIDs[0] != rid {
 		t.Fatalf("late insert not found: %+v", res)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"math"
-	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
@@ -19,66 +18,41 @@ type lmodel = stats.LinearModel
 
 var fitLinear = stats.FitLinear
 
-// ErrNoData is returned when Build is given no pairs and no explicit range.
+// ErrNoData is returned when Build is given no explicit range and no pair
+// with a non-NaN target to derive one from.
 var ErrNoData = errors.New("trstree: no data and no range to build over")
 
 // Build constructs a TRS-Tree over the given pairs using Algorithm 1. The
 // pairs slice is sorted in place. lo and hi give the target column's full
 // range R; if lo > hi the range is derived from the data.
+//
+// Construction is top-down, so the sub-ranges of a split are independent
+// (Appendix D.2): every split offers its large sub-ranges to other
+// goroutines, at most runtime.GOMAXPROCS(0) building at once. Skewed
+// correlations, whose fitting work concentrates in a few sub-ranges (a
+// sigmoid's steep centre), still spread over the available processors.
+// Each sub-range's build is a pure function of its pairs, bounds, depth
+// and edges, so the tree is the same at any GOMAXPROCS.
 func Build(pairs []Pair, lo, hi float64, params Params) (*Tree, error) {
 	params = params.sanitize()
 	sortPairs(pairs)
 	if lo > hi {
-		if len(pairs) == 0 {
-			return nil, ErrNoData
-		}
+		// Derive R from the data. A NaN target fails both comparisons, so
+		// it cannot turn the bounds into NaN.
 		lo, hi = math.Inf(1), math.Inf(-1)
 		for _, p := range pairs {
-			lo = math.Min(lo, p.M)
-			hi = math.Max(hi, p.M)
+			if p.M < lo {
+				lo = p.M
+			}
+			if p.M > hi {
+				hi = p.M
+			}
 		}
-	}
-	t := &Tree{params: params}
-	b := builder{params: params, rng: rand.New(rand.NewSource(1))}
-	t.root = b.build(pairs, lo, hi, 1, true, true)
-	return t, nil
-}
-
-// BuildParallel constructs the tree with the top-down multi-threaded scheme
-// of Appendix D.2: because construction is top-down, the sub-ranges of any
-// split can be built by independent workers with no synchronization points
-// between them. Parallelism is dynamic — every split offers its large
-// sub-ranges to a bounded worker pool, so skewed correlations (where most
-// of the fitting work concentrates in a few sub-ranges, e.g. a sigmoid's
-// steep centre) still scale with the thread count.
-//
-// workers <= 1 falls back to the sequential Build. The resulting structure
-// is deterministic and identical to the sequential one: each sub-range's
-// build is a pure function of its pairs.
-func BuildParallel(pairs []Pair, lo, hi float64, params Params, workers int) (*Tree, error) {
-	params = params.sanitize()
-	if workers <= 1 {
-		return Build(pairs, lo, hi, params)
-	}
-	if workers > runtime.NumCPU()*4 {
-		workers = runtime.NumCPU() * 4
-	}
-	sortPairs(pairs)
-	if lo > hi {
-		if len(pairs) == 0 {
+		if lo > hi {
 			return nil, ErrNoData
 		}
-		lo, hi = math.Inf(1), math.Inf(-1)
-		for _, p := range pairs {
-			lo = math.Min(lo, p.M)
-			hi = math.Max(hi, p.M)
-		}
 	}
-	pb := &parallelBuilder{
-		params: params,
-		tokens: make(chan struct{}, workers-1), // the caller is worker 0
-	}
-	root := pb.build(pairs, lo, hi, 1, true, true)
+	root := newBuilder(params).build(pairs, lo, hi, 1, true, true)
 	return &Tree{params: params, root: root}, nil
 }
 
@@ -86,53 +60,15 @@ func BuildParallel(pairs []Pair, lo, hi float64, params Params, workers int) (*T
 // is not worth the scheduling cost.
 const parallelSpawnMin = 8192
 
-// parallelBuilder runs builder.build recursively, offering large sub-ranges
-// to other workers through a token pool.
-type parallelBuilder struct {
-	params Params
-	tokens chan struct{}
-}
-
-func (pb *parallelBuilder) build(pairs []Pair, lo, hi float64, depth int, leftEdge, rightEdge bool) *node {
-	b := builder{params: pb.params, rng: rand.New(rand.NewSource(int64(depth)*7919 + int64(len(pairs))))}
-	if leaf, ok := b.tryLeaf(pairs, lo, hi, depth, leftEdge, rightEdge); ok {
-		return leaf
-	}
-	k := pb.params.NodeFanout
-	buckets := partition(pairs, lo, hi, k)
-	n := &node{lo: lo, hi: hi, leftEdge: leftEdge, rightEdge: rightEdge, children: make([]*node, k)}
-	w := (hi - lo) / float64(k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		clo := lo + float64(i)*w
-		chi := clo + w
-		if i == k-1 {
-			chi = hi
-		}
-		le, re := leftEdge && i == 0, rightEdge && i == k-1
-		if len(buckets[i]) >= parallelSpawnMin {
-			select {
-			case pb.tokens <- struct{}{}:
-				wg.Add(1)
-				go func(i int, bucket []Pair, clo, chi float64, le, re bool) {
-					defer wg.Done()
-					defer func() { <-pb.tokens }()
-					n.children[i] = pb.build(bucket, clo, chi, depth+1, le, re)
-				}(i, buckets[i], clo, chi, le, re)
-				continue
-			default:
-				// Pool exhausted: build inline.
-			}
-		}
-		n.children[i] = pb.build(buckets[i], clo, chi, depth+1, le, re)
-	}
-	wg.Wait()
-	return n
-}
-
+// builder runs Algorithm 1 over pairs sorted by sortPairs, offering large
+// sub-ranges to other goroutines through a token pool.
 type builder struct {
 	params Params
-	rng    *rand.Rand
+	tokens chan struct{} // one slot per goroutine beyond the caller's
+}
+
+func newBuilder(params Params) *builder {
+	return &builder{params: params, tokens: make(chan struct{}, runtime.GOMAXPROCS(0)-1)}
 }
 
 // build recursively constructs the subtree for pairs covering [lo, hi].
@@ -147,14 +83,31 @@ func (b *builder) build(pairs []Pair, lo, hi float64, depth int, leftEdge, right
 	buckets := partition(pairs, lo, hi, k)
 	n := &node{lo: lo, hi: hi, leftEdge: leftEdge, rightEdge: rightEdge, children: make([]*node, k)}
 	w := (hi - lo) / float64(k)
+	var wg sync.WaitGroup
 	for i := 0; i < k; i++ {
 		clo := lo + float64(i)*w
 		chi := clo + w
 		if i == k-1 {
 			chi = hi
 		}
-		n.children[i] = b.build(buckets[i], clo, chi, depth+1, leftEdge && i == 0, rightEdge && i == k-1)
+		le, re := leftEdge && i == 0, rightEdge && i == k-1
+		if len(buckets[i]) >= parallelSpawnMin {
+			select {
+			case b.tokens <- struct{}{}:
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer func() { <-b.tokens }()
+					n.children[i] = b.build(buckets[i], clo, chi, depth+1, le, re)
+				}()
+				continue
+			default:
+				// Every processor is busy: build inline.
+			}
+		}
+		n.children[i] = b.build(buckets[i], clo, chi, depth+1, le, re)
 	}
+	wg.Wait()
 	return n
 }
 
@@ -191,8 +144,8 @@ func (b *builder) tryLeaf(pairs []Pair, lo, hi float64, depth int, leftEdge, rig
 	return leaf, true
 }
 
-// sampleSaysSplit fits on a sample and reports whether the sampled outlier
-// fraction already exceeds the threshold.
+// sampleSaysSplit fits on an evenly spaced sample and reports whether the
+// sampled outlier fraction already exceeds the threshold.
 func (b *builder) sampleSaysSplit(pairs []Pair, lo, hi float64) bool {
 	sn := int(float64(len(pairs)) * b.params.SampleRate)
 	if sn < 32 {
@@ -201,9 +154,11 @@ func (b *builder) sampleSaysSplit(pairs []Pair, lo, hi float64) bool {
 	if sn >= len(pairs) {
 		return false
 	}
+	// pairs are sorted by M, so an evenly spaced sample spans the whole
+	// sub-range and depends on nothing but the pairs themselves.
 	sample := make([]Pair, sn)
 	for i := range sample {
-		sample[i] = pairs[b.rng.Intn(len(pairs))]
+		sample[i] = pairs[i*len(pairs)/sn]
 	}
 	_, _, outliers := fitAndValidate(sample, lo, hi, b.params)
 	return float64(len(outliers)) > b.params.OutlierRatio*float64(len(sample))
@@ -234,20 +189,24 @@ func fitAndValidate(pairs []Pair, lo, hi float64, params Params) (m lmodel, eps 
 	if len(pairs) == 0 {
 		return lmodel{}, 0, nil
 	}
-	model := robustFit(pairs)
+	// One NaN or infinite value makes the fitted line NaN, and with it
+	// every host range the leaf returns, so fit on the finite pairs only;
+	// covers sends the others to the outlier buffer.
+	fit := finitePairs(pairs)
+	model := robustFit(fit)
 	// Polish: OLS over the MAD-inliers of the robust fit. The MAD is
 	// estimated from a stride sample of residuals: a full median would cost
 	// an O(n log n) sort per node and dominates construction, while a few
 	// thousand samples estimate the scale just as well.
-	resid := make([]float64, len(pairs))
-	for i, p := range pairs {
+	resid := make([]float64, len(fit))
+	for i, p := range fit {
 		resid[i] = math.Abs(p.N - model.Predict(p.M))
 	}
 	mad := medianOf(strideSample(resid, 4096))
 	if mad > 0 {
 		thr := 3 * mad
 		var inX, inY []float64
-		for i, p := range pairs {
+		for i, p := range fit {
 			if resid[i] <= thr {
 				inX = append(inX, p.M)
 				inY = append(inY, p.N)
@@ -261,14 +220,36 @@ func fitAndValidate(pairs []Pair, lo, hi float64, params Params) (m lmodel, eps 
 	}
 	eps = deriveEps(model.Beta, lo, hi, params.ErrorBound, len(pairs))
 	for _, p := range pairs {
-		// Pairs beyond [lo, hi] reach an edge leaf only on a rebuild;
-		// lookups consult the model over [lo, hi] alone, so they must be
-		// outliers, exactly as Insert treats them.
-		if p.M < lo || p.M > hi || math.Abs(p.N-model.Predict(p.M)) > eps {
+		if !covers(model, eps, lo, hi, p.M, p.N) {
 			outliers = append(outliers, p)
 		}
 	}
 	return model, eps, outliers
+}
+
+// covers is the one coverage test of build, Insert and Update: it reports
+// whether a leaf over [lo, hi] with the given model and eps answers (m, n)
+// through its host range. Pairs beyond [lo, hi] reach an edge leaf, but
+// lookups consult the model over [lo, hi] alone, so they are not covered.
+// NaN fails every comparison and infinite values are refused, so a
+// non-finite pair is never covered: it goes to the outlier buffer, where
+// lookups find it by exact identifier.
+func covers(model lmodel, eps, lo, hi, m, n float64) bool {
+	return m >= lo && m <= hi && !math.IsInf(m, 0) && !math.IsInf(n, 0) &&
+		math.Abs(n-model.Predict(m)) <= eps
+}
+
+// finitePairs returns pairs itself when every value in it is finite, and
+// otherwise a copy without the pairs holding NaN or ±Inf.
+func finitePairs(pairs []Pair) []Pair {
+	if !slices.ContainsFunc(pairs, nonFinite) {
+		return pairs
+	}
+	return slices.DeleteFunc(slices.Clone(pairs), nonFinite)
+}
+
+func nonFinite(p Pair) bool {
+	return math.IsNaN(p.M) || math.IsInf(p.M, 0) || math.IsNaN(p.N) || math.IsInf(p.N, 0)
 }
 
 // robustFitSamples bounds the number of pairwise slopes Theil–Sen draws;

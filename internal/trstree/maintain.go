@@ -1,8 +1,6 @@
 package trstree
 
 import (
-	"math"
-	"math/rand"
 	"slices"
 	"time"
 )
@@ -25,9 +23,7 @@ func (t *Tree) Insert(m, n float64, id uint64) {
 func (t *Tree) insertLocked(m, n float64, id uint64) {
 	leaf := t.traverse(m)
 	leaf.count++
-	covered := m >= leaf.lo && m <= leaf.hi &&
-		math.Abs(n-leaf.model.Predict(m)) <= leaf.eps
-	if covered {
+	if covers(leaf.model, leaf.eps, leaf.lo, leaf.hi, m, n) {
 		return
 	}
 	leaf.addOutlier(m, id)
@@ -73,10 +69,8 @@ func (t *Tree) Update(m, oldN, newN float64, id uint64) {
 		return
 	}
 	leaf := t.traverse(m)
-	wasCovered := m >= leaf.lo && m <= leaf.hi &&
-		math.Abs(oldN-leaf.model.Predict(m)) <= leaf.eps
-	isCovered := m >= leaf.lo && m <= leaf.hi &&
-		math.Abs(newN-leaf.model.Predict(m)) <= leaf.eps
+	wasCovered := covers(leaf.model, leaf.eps, leaf.lo, leaf.hi, m, oldN)
+	isCovered := covers(leaf.model, leaf.eps, leaf.lo, leaf.hi, m, newN)
 	switch {
 	case wasCovered && !isCovered:
 		leaf.addOutlier(m, id)
@@ -207,7 +201,10 @@ func (t *Tree) rebuildSubtree(target *node, src DataSource) (bool, error) {
 
 	// Phase 2: scan and build without holding the tree latch.
 	pairs, err := collectPairs(src, target)
-	newNode, buildErr := buildReplacement(pairs, target, depth, t.params)
+	var newNode *node
+	if err == nil {
+		newNode = buildReplacement(pairs, target, depth, t.params)
+	}
 
 	// Phase 3: install under the write latch, replaying parked writers.
 	t.mu.Lock()
@@ -218,10 +215,6 @@ func (t *Tree) rebuildSubtree(target *node, src DataSource) (bool, error) {
 	if err != nil {
 		t.replaySideBuf()
 		return false, err
-	}
-	if buildErr != nil {
-		t.replaySideBuf()
-		return false, buildErr
 	}
 	// Re-locate: the tree may have changed while we scanned.
 	parent, _ = t.locate(target)
@@ -241,11 +234,7 @@ func (t *Tree) rebuildLocked(target, parent *node, depth int, src DataSource) (b
 	if err != nil {
 		return false, err
 	}
-	newNode, err := buildReplacement(pairs, target, depth, t.params)
-	if err != nil {
-		return false, err
-	}
-	t.install(parent, target, newNode)
+	t.install(parent, target, buildReplacement(pairs, target, depth, t.params))
 	return true, nil
 }
 
@@ -264,10 +253,11 @@ func collectPairs(src DataSource, target *node) ([]Pair, error) {
 	return pairs, err
 }
 
-func buildReplacement(pairs []Pair, target *node, depth int, params Params) (*node, error) {
+// buildReplacement builds the subtree that replaces target with the same
+// builder as Build: over unchanged pairs it rebuilds target exactly.
+func buildReplacement(pairs []Pair, target *node, depth int, params Params) *node {
 	sortPairs(pairs)
-	b := builder{params: params, rng: rand.New(rand.NewSource(time.Now().UnixNano()))}
-	return b.build(pairs, target.lo, target.hi, depth, target.leftEdge, target.rightEdge), nil
+	return newBuilder(params).build(pairs, target.lo, target.hi, depth, target.leftEdge, target.rightEdge)
 }
 
 // replaySideBuf applies writes parked during the reorganization scan.

@@ -1,7 +1,6 @@
 package trstree
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -367,41 +366,6 @@ func TestInfiniteTargetsRouteToEdges(t *testing.T) {
 	if has(tr.Lookup(math.Inf(-1), math.Inf(1)), 7001) || has(tr.Lookup(math.Inf(-1), math.Inf(1)), 7002) {
 		t.Fatal("deleted infinite targets still returned")
 	}
-}
-
-// TestLoadSortsLegacySnapshot: a snapshot written before buffers were
-// kept sorted stores them in insertion order. Load must restore the
-// (m, id) order lookups binary-search on; Save then writes them sorted.
-func TestLoadSortsLegacySnapshot(t *testing.T) {
-	tr := mustBuild(t, genLinear(3000, 1000, 0.1, 9), DefaultParams())
-	src := &sliceSource{pairs: genLinear(3000, 1000, 0.1, 9)}
-	// Reverse every buffer to stand in for a legacy insertion-order image.
-	for _, l := range leaves(tr.root, nil) {
-		if len(l.outliers) > 1 {
-			slices.Reverse(l.outliers)
-		}
-	}
-	var legacy bytes.Buffer
-	if err := tr.Save(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(legacy.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBuffersSorted(t, loaded)
-	for _, q := range [][2]float64{{0, 1000}, {100, 110}, {500, 500}, {math.Inf(-1), 10}} {
-		checkRecall(t, loaded, src.pairs, q[0], q[1])
-	}
-	var resaved bytes.Buffer
-	if err := loaded.Save(&resaved); err != nil {
-		t.Fatal(err)
-	}
-	again, err := Load(bytes.NewReader(resaved.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lookupsEqual(t, loaded, again, 0, 1000)
 }
 
 // BenchmarkLookupOutlierHeavy times a narrow lookup (about one matching

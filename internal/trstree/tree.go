@@ -165,7 +165,7 @@ func (n *node) isLeaf() bool { return n.children == nil }
 // width returns the extent of the node's finite range.
 func (n *node) width() float64 { return n.hi - n.lo }
 
-// Tree is a TRS-Tree. Create one with Build or BuildParallel.
+// Tree is a TRS-Tree. Create one with Build.
 //
 // Concurrency: the tree latches itself. Lookup takes the read latch;
 // Insert/Delete/Update take the write latch (they mutate leaf outlier

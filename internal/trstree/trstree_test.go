@@ -1,14 +1,18 @@
 package trstree
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"hermit/internal/workload"
 )
 
 // genLinear produces pairs n = 2m + 100 over m in [0, span), with a noise
@@ -91,7 +95,7 @@ func checkRecall(t *testing.T, tr *Tree, pairs []Pair, lo, hi float64) {
 		ids[id] = true
 	}
 	for _, p := range pairs {
-		if p.M < lo || p.M > hi {
+		if !(p.M >= lo && p.M <= hi) { // no predicate matches a NaN target
 			continue
 		}
 		if ids[p.ID] {
@@ -483,58 +487,161 @@ func TestBackgroundReorg(t *testing.T) {
 	tr.StopReorg()
 }
 
-func TestBuildParallelEquivalentResults(t *testing.T) {
-	pairs := genSigmoid(40000, 1000, 0.02, 21)
-	seq := mustBuild(t, pairs, DefaultParams())
-	cp := append([]Pair(nil), pairs...)
-	par, err := BuildParallel(cp, 1, 0, DefaultParams(), 4)
+// sensorPairs projects one reading channel against the average column of
+// a 75k-row Sensor table, the size of one of four hash partitions of the
+// benchmark's 3*10^5 rows: a nonlinear correlation that builds a deep tree.
+func sensorPairs(t *testing.T) []Pair {
+	t.Helper()
+	spec := workload.DefaultSensorSpec(75000)
+	var pairs []Pair
+	err := spec.Generate(func(row []float64) error {
+		pairs = append(pairs, Pair{M: row[spec.ReadingCol(0)], N: row[spec.AvgCol()], ID: uint64(len(pairs))})
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 30; trial++ {
-		lo := rng.Float64() * 1000
-		hi := lo + rng.Float64()*50
-		checkRecall(t, seq, pairs, lo, hi)
-		checkRecall(t, par, pairs, lo, hi)
+	return pairs
+}
+
+// TestBuildSameAtAnyGOMAXPROCS: Build hands large sub-ranges to other
+// goroutines, but each sub-range's build depends only on its own pairs, so
+// the tree is identical however many processors build it.
+func TestBuildSameAtAnyGOMAXPROCS(t *testing.T) {
+	for name, pairs := range map[string][]Pair{
+		"sensor":  sensorPairs(t),
+		"sigmoid": genSigmoid(40000, 1000, 0.02, 21),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var want *Tree
+			for _, procs := range []int{1, 2, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				tr := mustBuild(t, pairs, DefaultParams())
+				runtime.GOMAXPROCS(prev)
+				if want == nil {
+					want = tr
+					if tr.root.isLeaf() {
+						t.Fatal("fixture builds a single leaf; it cannot exercise parallel sub-range builds")
+					}
+					continue
+				}
+				if !reflect.DeepEqual(want.root, tr.root) {
+					t.Fatalf("GOMAXPROCS %d built a different tree: %d leaves, want %d",
+						procs, tr.LeafCount(), want.LeafCount())
+				}
+			}
+		})
+	}
+}
+
+// TestReorgUnchangedSubtreeIsIdentity: reorganization rebuilds with the
+// same builder as Build, so rebuilding a subtree over unchanged rows
+// reproduces it exactly.
+func TestReorgUnchangedSubtreeIsIdentity(t *testing.T) {
+	pairs := sensorPairs(t)
+	want := mustBuild(t, pairs, DefaultParams())
+	tr := mustBuild(t, pairs, DefaultParams())
+	src := &sliceSource{pairs: pairs}
+	if tr.root.isLeaf() {
+		t.Fatal("fixture builds a single leaf")
+	}
+	for i := range tr.root.children {
+		if err := tr.ReorgSubtree(i, src); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want.root, tr.root) {
+			t.Fatalf("rebuilding unchanged subtree %d changed the tree", i)
+		}
 	}
 }
 
 // TestBuildIgnoresInputOrder: the tree is a function of the pairs' values,
 // not of the order a table scan returned them in, so two loads of the same
-// rows in different interleavings build byte-identical snapshots.
+// rows in different interleavings build identical trees.
 func TestBuildIgnoresInputOrder(t *testing.T) {
 	pairs := genSigmoid(20000, 1000, 0.02, 23)
 	shuffled := append([]Pair(nil), pairs...)
 	rand.New(rand.NewSource(24)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-	var a, b bytes.Buffer
-	if err := mustBuild(t, pairs, DefaultParams()).Save(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := mustBuild(t, shuffled, DefaultParams()).Save(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	a := mustBuild(t, pairs, DefaultParams())
+	b := mustBuild(t, shuffled, DefaultParams())
+	if !reflect.DeepEqual(a.root, b.root) {
 		t.Fatal("trees built from the same pairs in two orders differ")
 	}
 }
 
-func TestBuildParallelSingleLeafData(t *testing.T) {
-	pairs := genLinear(10000, 1000, 0, 23)
-	cp := append([]Pair(nil), pairs...)
-	par, err := BuildParallel(cp, 1, 0, DefaultParams(), 8)
+// TestBuildNonFinitePairsStayFindable: a NaN or infinite host value can
+// never fall in a host range, and a NaN target would turn the fitted line
+// into NaN. Build fits on the finite pairs only and buffers every
+// non-finite one, so no row is lost and every leaf keeps a finite model.
+func TestBuildNonFinitePairsStayFindable(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		pairs := genLinear(20000, 1000, 0.01, 100+seed)
+		rng := rand.New(rand.NewSource(200 + seed))
+		for i := range pairs {
+			switch u := rng.Float64(); {
+			case u < 0.01:
+				pairs[i].M = math.NaN()
+			case u < 0.02:
+				pairs[i].N = math.NaN()
+			case u < 0.025:
+				pairs[i].N = math.Inf(1 - 2*rng.Intn(2))
+			}
+		}
+		if lo, hi := mustBuild(t, pairs, DefaultParams()).Bounds(); math.IsNaN(lo) || math.IsNaN(hi) {
+			t.Fatalf("seed %d: range derived from the data is [%v,%v]", seed, lo, hi)
+		}
+		cp := append([]Pair(nil), pairs...)
+		tr, err := Build(cp, 0, 1000, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range leaves(tr.root, nil) {
+			if math.IsNaN(l.model.Beta) || math.IsNaN(l.model.Alpha) || math.IsNaN(l.eps) {
+				t.Fatalf("seed %d: leaf [%v,%v] has model %+v eps %v", seed, l.lo, l.hi, l.model, l.eps)
+			}
+		}
+		for _, q := range [][2]float64{{0, 1000}, {100, 110}, {500, 500}, {math.Inf(-1), 10}} {
+			checkRecall(t, tr, pairs, q[0], q[1])
+		}
+	}
+}
+
+// TestInfiniteRangeStaysFindable: a target column holding +Inf gives the
+// tree an infinite range R, so eps derived from it is infinite too. The
+// model then maps an infinite target to a NaN host range, so covers must
+// refuse infinite values outright, not rely on |n - pred| <= eps.
+func TestInfiniteRangeStaysFindable(t *testing.T) {
+	pairs := append(genLinear(5000, 1000, 0, 5),
+		Pair{M: math.Inf(1), N: 7, ID: 99999}, Pair{M: 3, N: math.Inf(1), ID: 99998})
+	tr, err := Build(append([]Pair(nil), pairs...), 0, math.Inf(1), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Perfect linear data validates at the root: parallel build should not
-	// inflate the structure.
-	if par.LeafCount() != 1 {
-		t.Fatalf("leaves=%d", par.LeafCount())
+	for _, q := range [][2]float64{{0, math.Inf(1)}, {math.Inf(1), math.Inf(1)}, {3, 3}, {0, 1000}} {
+		checkRecall(t, tr, pairs, q[0], q[1])
 	}
-	if _, err := BuildParallel(nil, 1, 0, DefaultParams(), 4); err != ErrNoData {
-		t.Fatalf("want ErrNoData, got %v", err)
+}
+
+// TestInsertAndUpdateBufferNaNHosts: a NaN host value inserted or updated
+// in after the build goes to the outlier buffer, the same coverage test
+// Build applies.
+func TestInsertAndUpdateBufferNaNHosts(t *testing.T) {
+	pairs := genLinear(5000, 1000, 0, 3)
+	tr := mustBuild(t, pairs, DefaultParams())
+	tr.Insert(400, math.NaN(), 90001)
+	if !slices.Contains(tr.Lookup(400, 400).IDs, 90001) {
+		t.Fatal("inserted NaN host not buffered")
+	}
+	p := pairs[0]
+	tr.Update(p.M, p.N, math.NaN(), p.ID)
+	if !slices.Contains(tr.Lookup(p.M, p.M).IDs, p.ID) {
+		t.Fatal("update to a NaN host not buffered")
+	}
+	tr.Update(p.M, math.NaN(), p.N, p.ID)
+	if slices.Contains(tr.Lookup(p.M, p.M).IDs, p.ID) {
+		t.Fatal("update back to a covered host left the buffer entry")
 	}
 }
 
