@@ -15,7 +15,7 @@ STATICCHECK_VERSION = 2025.1.1
 
 # BENCH_EXPERIMENTS is every experiment whose BENCH_*.json artifact CI
 # records; bench-all runs them in one invocation after the fig4 smoke.
-BENCH_EXPERIMENTS = concurrency,durability,compaction,advisor,partition,txn,server,repl,scenarios,hotpath
+BENCH_EXPERIMENTS = durability,compaction,advisor,repl,scenarios,hotpath
 
 # FUZZ_TARGETS names every native fuzz target as package:Func (go test
 # -fuzz accepts one target per run); `make fuzz` runs each for FUZZTIME
@@ -41,7 +41,7 @@ ifdef GOMAXPROCS
 export GOMAXPROCS
 endif
 
-.PHONY: build build-examples perfbench test race cover difftest fuzz bench bench-all bench-check bench-concurrency bench-durability bench-compaction bench-advisor bench-partition bench-txn bench-server bench-repl bench-scenarios bench-hotpath profile fmt fmt-check vet staticcheck doc-check ci
+.PHONY: build build-examples perfbench test race cover difftest fuzz bench bench-all bench-check bench-durability bench-compaction bench-advisor bench-repl bench-scenarios bench-hotpath profile fmt fmt-check vet staticcheck doc-check ci
 
 build:
 	$(GO) build ./...
@@ -109,10 +109,6 @@ bench-all: bench
 bench-check:
 	$(GO) run ./internal/tools/benchcheck $(BENCH_CHECK_FLAGS)
 
-# Concurrency sweep with the machine-readable BENCH_concurrency.json.
-bench-concurrency: build
-	$(GO) run ./cmd/hermit-bench -exp concurrency
-
 # Durability sweep (sync policies + recovery) with BENCH_durability.json.
 bench-durability: build
 	$(GO) run ./cmd/hermit-bench -exp durability
@@ -127,21 +123,6 @@ bench-compaction: build
 bench-advisor: build
 	$(GO) run ./cmd/hermit-bench -exp advisor
 
-# Partition sweep (scatter-gather throughput vs partitions x goroutines,
-# pk point overhead) with BENCH_partition.json.
-bench-partition: build
-	$(GO) run ./cmd/hermit-bench -exp partition
-
-# Txn sweep (snapshot scans under writers, optimistic abort rate, snapshot
-# registration overhead) with BENCH_txn.json.
-bench-txn: build
-	$(GO) run ./cmd/hermit-bench -exp txn
-
-# Serving-tier sweep (loopback throughput/latency vs clients x mode x
-# workload) with BENCH_server.json.
-bench-server: build
-	$(GO) run ./cmd/hermit-bench -exp server
-
 # Replication sweep (follower read scaling, lag vs write rate, catch-up
 # time) with BENCH_repl.json.
 bench-repl: build
@@ -153,8 +134,8 @@ bench-scenarios: build
 	$(GO) run ./cmd/hermit-bench -exp scenarios
 
 # Hot-path allocation/latency sweep (allocs/op, ns/op, throughput at
-# GOMAXPROCS 1 vs 4 for the five hottest operations) with
-# BENCH_hotpath.json.
+# GOMAXPROCS 1 vs 4 for the hottest operations, in lane pairs whose
+# difference is one layer's cost) with BENCH_hotpath.json.
 bench-hotpath: build
 	$(GO) run ./cmd/hermit-bench -exp hotpath
 

@@ -72,4 +72,3 @@ func BenchmarkFig28CMLinearMemory(b *testing.B)      { runFigure(b, "fig28") }
 func BenchmarkFig29CMSigmoidThroughput(b *testing.B) { runFigure(b, "fig29") }
 func BenchmarkFig30CMSigmoidMemory(b *testing.B)     { runFigure(b, "fig30") }
 func BenchmarkAblations(b *testing.B)                { runFigure(b, "ablation") }
-func BenchmarkConcurrency(b *testing.B)              { runFigure(b, "concurrency") }

@@ -1,4 +1,7 @@
-// Command hermit-bench regenerates the paper's tables and figures.
+// Command hermit-bench regenerates the paper's tables and figures, and
+// runs the served-system experiments (durability, compaction, advisor,
+// repl, scenarios, hotpath), each of which records a BENCH_<id>.json
+// artifact.
 //
 // Usage:
 //
@@ -6,7 +9,7 @@
 //	hermit-bench -exp fig4
 //	hermit-bench -exp all -scale 0.05
 //	hermit-bench -exp fig16,fig17,fig18 -scale 0.1 -measure 1s
-//	hermit-bench -exp concurrency -concurrency 16
+//	hermit-bench -exp repl -concurrency 16
 //	hermit-bench -exp durability -measure 500ms
 //	hermit-bench -scenario timeseries
 //	hermit-bench -scenario my-workload.json -scale 0.1
@@ -45,7 +48,7 @@ func main() {
 		scale       = flag.Float64("scale", 0.02, "dataset scale factor (1.0 = paper size)")
 		measure     = flag.Duration("measure", 300*time.Millisecond, "measurement time per plotted point")
 		seed        = flag.Int64("seed", 1, "workload generation seed")
-		concurrency = flag.Int("concurrency", 8, "max goroutines for the concurrency throughput sweep")
+		concurrency = flag.Int("concurrency", 8, "server executor workers, repl read clients, and the durability sweep's client counts")
 		jsonDir     = flag.String("json", ".", "directory for machine-readable BENCH_*.json results ('' disables)")
 		scen        = flag.String("scenario", "", "replay one scenario: a canned name or a JSON spec file")
 		addr        = flag.String("addr", "", "with -scenario: address of a running hermitd for wire-target specs")

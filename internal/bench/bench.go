@@ -34,8 +34,9 @@ type Config struct {
 	Seed int64
 	// TmpDir hosts the disk-engine files (Fig. 24).
 	TmpDir string
-	// Concurrency is the maximum goroutine count the concurrency
-	// experiment sweeps to (the CLI's -concurrency flag).
+	// Concurrency sizes the concurrent parts of the served experiments
+	// (the CLI's -concurrency flag): server executor workers, repl read
+	// clients, and the durability sweep's client counts.
 	Concurrency int
 	// JSONDir, when non-empty, receives machine-readable BENCH_*.json
 	// result files alongside the printed tables.
@@ -118,13 +119,9 @@ var Registry = []Experiment{
 	{"fig29", "CM vs Hermit range throughput vs noise (Sigmoid)", Fig29CMSigmoidThroughput},
 	{"fig30", "CM vs Hermit memory vs noise (Sigmoid)", Fig30CMSigmoidMemory},
 	{"ablation", "Ablations: sampling, range union, outlier buffer", Ablations},
-	{"concurrency", "Concurrent serving: throughput vs goroutines", RunConcurrency},
 	{"durability", "Durable inserts vs sync policy; recovery vs WAL length", RunDurability},
 	{"compaction", "Block tier: checkpoint pause vs table size; write amplification; bloom-gated cold reads", RunCompaction},
 	{"advisor", "Self-tuning: advisor auto-indexing and planner re-routing", RunAdvisor},
-	{"partition", "Hash partitioning: scatter-gather throughput vs partitions x goroutines", RunPartition},
-	{"txn", "MVCC transactions: scan-under-writes, abort rate, snapshot overhead", RunTxn},
-	{"server", "Network serving tier: loopback throughput/latency vs clients", RunServer},
 	{"repl", "Replication: follower read scaling; lag vs write rate", RunRepl},
 	{"scenarios", "Trace-driven scenarios: per-phase SLO quantiles", RunScenarios},
 	{"hotpath", "Hot-path allocs/op and ns/op at GOMAXPROCS 1 vs 4", RunHotpath},
@@ -248,13 +245,22 @@ func quantile(sorted []float64, q float64) float64 {
 
 // quantiles sorts the samples in place and returns their interpolated
 // (p50, p99, p999) — the shared latency summary every experiment that
-// records per-op latencies (server, repl, scenarios) reports.
+// records per-op latencies (repl, scenarios) reports.
 func quantiles(lats []float64) (p50, p99, p999 float64) {
 	if len(lats) == 0 {
 		return 0, 0, 0
 	}
 	sort.Float64s(lats)
 	return quantile(lats, 0.50), quantile(lats, 0.99), quantile(lats, 0.999)
+}
+
+// speedup guards against a zero baseline (a degenerate measurement window
+// where no operation completed): NaN/Inf would fail JSON marshalling.
+func speedup(ops, base float64) float64 {
+	if base <= 0 {
+		return 0
+	}
+	return ops / base
 }
 
 // fmtBytes renders a byte count in MB with two decimals, the unit the

@@ -18,15 +18,23 @@ import (
 )
 
 // The hotpath experiment measures the allocator cost of the engine's
-// hottest operations — embedded PK point read, embedded range scan,
-// embedded Hermit range, partitioned scatter-gather scan, durable
-// WAL-logged insert, and a wire-protocol point read through hermitd — as
-// allocs/op, bytes/op,
-// ns/op, and throughput, each at GOMAXPROCS 1 and 4. The artifact is the
-// regression baseline for the zero-alloc read-path contract: the same
-// numbers `testing.AllocsPerRun` guards enforce in tier-1 are recorded
-// here with throughput context, so a speed pass can prove its allocation
-// wins from artifacts alone.
+// hottest operations — embedded PK point read, embedded range scan (per
+// query snapshot and held snapshot), embedded Hermit range, partitioned
+// scan at one and at hotpathPartitions partitions, durable WAL-logged
+// insert, and wire-protocol point reads through hermitd (one per round
+// trip and hotpathPipelineDepth per pipelined flush) — as allocs/op,
+// bytes/op, ns/op, and throughput, each at GOMAXPROCS 1 and 4. The
+// artifact is the regression baseline for the zero-alloc read-path
+// contract: the same numbers `testing.AllocsPerRun` guards enforce in
+// tier-1 are recorded here with throughput context, so a speed pass can
+// prove its allocation wins from artifacts alone.
+//
+// Adjacent lanes share a fixture, so a layer's cost is a subtraction:
+// range_scan − snapshot_range is per-query snapshot registration;
+// partitioned_scan_n1 − range_scan is the partition layer at N=1 and
+// partitioned_scan ÷ partitioned_scan_n1 the fan-out cost at N=4;
+// wire_point against wire_pipelined ÷ pipeline_depth is what pipelining
+// saves per read.
 
 // hotpathCaveat is recorded verbatim in the JSON artifact.
 const hotpathCaveat = "ns/op and ops/sec track the container; the durable " +
@@ -41,6 +49,11 @@ var hotpathProcs = []int{1, 4}
 
 // hotpathPartitions is the partition fan-out of the partitioned_scan lane.
 const hotpathPartitions = 4
+
+// hotpathPipelineDepth is how many point reads one wire_pipelined op
+// writes per flush — deep enough for the server's read coalescing to
+// engage, shallow enough for an application batching its reads.
+const hotpathPipelineDepth = 32
 
 // hotpathSpan is the row span of each range/partitioned scan.
 const hotpathSpan = 256
@@ -62,6 +75,9 @@ type hotpathLane struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
+	// PipelineDepth is the number of reads one op carries (wire_pipelined
+	// only): its per-read cost is ns_per_op / pipeline_depth.
+	PipelineDepth int `json:"pipeline_depth,omitempty"`
 }
 
 // hotpathReport is the schema of BENCH_hotpath.json.
@@ -88,10 +104,13 @@ func hotpathWorkloads() []hotpathWorkload {
 	return []hotpathWorkload{
 		{"point_read", setupHotpathPoint},
 		{"range_scan", setupHotpathRange},
+		{"snapshot_range", setupHotpathSnapshotRange},
 		{"hermit_range", setupHotpathHermitRange},
-		{"partitioned_scan", setupHotpathPartitioned},
+		{"partitioned_scan_n1", hotpathPartitioned(1)},
+		{"partitioned_scan", hotpathPartitioned(hotpathPartitions)},
 		{"durable_insert", setupHotpathDurableInsert},
 		{"wire_point", setupHotpathWirePoint},
+		{"wire_pipelined", setupHotpathWirePipelined},
 	}
 }
 
@@ -161,6 +180,31 @@ func setupHotpathRange(cfg Config, n int) (func() error, func(), error) {
 	return op, func() {}, nil
 }
 
+// setupHotpathSnapshotRange is setupHotpathRange reading at one snapshot
+// held for the whole lane, so no query registers a snapshot of its own.
+func setupHotpathSnapshotRange(cfg Config, n int) (func() error, func(), error) {
+	tb, err := buildHotpathTable(n)
+	if err != nil {
+		return nil, nil, err
+	}
+	snap := tb.Snapshot()
+	rng := rand.New(rand.NewSource(cfg.Seed + 13))
+	var dst []storage.RID
+	op := func() error {
+		lo := float64(rng.Intn(n - hotpathSpan))
+		rids, _, err := tb.RangeQueryAtInto(snap, 0, lo, lo+hotpathSpan-1, dst)
+		if err != nil {
+			return err
+		}
+		if len(rids) != hotpathSpan {
+			return fmt.Errorf("snapshot range scan matched %d rows, want %d", len(rids), hotpathSpan)
+		}
+		dst = rids
+		return nil
+	}
+	return op, snap.Release, nil
+}
+
 // setupHotpathHermitRange measures a Hermit range of hotpathHermitSpan
 // rows through the caller-buffer API: TRS-Tree lookup over a one-leaf tree
 // whose buffer holds hotpathNoise of the rows, host B+-tree probe, and
@@ -210,34 +254,37 @@ func setupHotpathHermitRange(cfg Config, n int) (func() error, func(), error) {
 	return op, func() {}, nil
 }
 
-// setupHotpathPartitioned measures a scatter-gather range scan across
-// hotpathPartitions hash partitions (every partition contributes rows, so
-// the k-way merge and per-partition result plumbing are all on the path).
-func setupHotpathPartitioned(cfg Config, n int) (func() error, func(), error) {
-	pt, err := partition.New(hermit.PhysicalPointers, "hot", hotpathCols(), 0,
-		partition.Options{Partitions: hotpathPartitions})
-	if err != nil {
-		return nil, nil, err
-	}
-	pt.SetRouting(engine.RouteStatic)
-	for i := 0; i < n; i++ {
-		if _, err := pt.Insert([]float64{float64(i), float64(i) * 0.5}); err != nil {
+// hotpathPartitioned measures a range scan across parts hash partitions.
+// With several partitions every one contributes rows, so the scatter, the
+// k-way merge and the per-partition result plumbing are all on the path;
+// with one the scan is a direct call to the lone partition.
+func hotpathPartitioned(parts int) func(cfg Config, n int) (func() error, func(), error) {
+	return func(cfg Config, n int) (func() error, func(), error) {
+		pt, err := partition.New(hermit.PhysicalPointers, "hot", hotpathCols(), 0,
+			partition.Options{Partitions: parts})
+		if err != nil {
 			return nil, nil, err
 		}
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 17))
-	op := func() error {
-		lo := float64(rng.Intn(n - hotpathSpan))
-		rids, _, err := pt.RangeQuery(0, lo, lo+hotpathSpan-1)
-		if err != nil {
-			return err
+		pt.SetRouting(engine.RouteStatic)
+		for i := 0; i < n; i++ {
+			if _, err := pt.Insert([]float64{float64(i), float64(i) * 0.5}); err != nil {
+				return nil, nil, err
+			}
 		}
-		if len(rids) != hotpathSpan {
-			return fmt.Errorf("partitioned scan matched %d rows, want %d", len(rids), hotpathSpan)
+		rng := rand.New(rand.NewSource(cfg.Seed + 17))
+		op := func() error {
+			lo := float64(rng.Intn(n - hotpathSpan))
+			rids, _, err := pt.RangeQuery(0, lo, lo+hotpathSpan-1)
+			if err != nil {
+				return err
+			}
+			if len(rids) != hotpathSpan {
+				return fmt.Errorf("partitioned scan matched %d rows, want %d", len(rids), hotpathSpan)
+			}
+			return nil
 		}
-		return nil
+		return op, func() {}, nil
 	}
-	return op, func() {}, nil
 }
 
 // setupHotpathDurableInsert measures a WAL-logged single-row insert (frame
@@ -272,10 +319,9 @@ func setupHotpathDurableInsert(cfg Config, n int) (func() error, func(), error) 
 	return op, teardown, nil
 }
 
-// setupHotpathWirePoint measures one pipeline-depth-1 point read through
-// hermitd's wire protocol on a loopback socket: request encode, frame
-// write, server decode/execute, response encode, client decode.
-func setupHotpathWirePoint(cfg Config, n int) (func() error, func(), error) {
+// startHotpathWire serves an n-row durable table from an in-process
+// hermitd on a loopback socket and dials one client connection to it.
+func startHotpathWire(cfg Config, n int) (*client.Conn, func(), error) {
 	dir, err := os.MkdirTemp(cfg.TmpDir, "hermit-bench-hotpath")
 	if err != nil {
 		return nil, nil, err
@@ -311,6 +357,23 @@ func setupHotpathWirePoint(cfg Config, n int) (func() error, func(), error) {
 		os.RemoveAll(dir)
 		return nil, nil, err
 	}
+	teardown := func() {
+		conn.Close()
+		srv.Close()
+		d.Close()
+		os.RemoveAll(dir)
+	}
+	return conn, teardown, nil
+}
+
+// setupHotpathWirePoint measures one pipeline-depth-1 point read through
+// hermitd's wire protocol on a loopback socket: request encode, frame
+// write, server decode/execute, response encode, client decode.
+func setupHotpathWirePoint(cfg Config, n int) (func() error, func(), error) {
+	conn, teardown, err := startHotpathWire(cfg, n)
+	if err != nil {
+		return nil, nil, err
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 19))
 	op := func() error {
 		rows, err := conn.Point("hot", 0, float64(rng.Intn(n)))
@@ -322,11 +385,37 @@ func setupHotpathWirePoint(cfg Config, n int) (func() error, func(), error) {
 		}
 		return nil
 	}
-	teardown := func() {
-		conn.Close()
-		srv.Close()
-		d.Close()
-		os.RemoveAll(dir)
+	return op, teardown, nil
+}
+
+// setupHotpathWirePipelined measures one client.Pipeline flush of
+// hotpathPipelineDepth point reads on the wire_point fixture: one burst
+// of writes, which the server may coalesce into batch executions, then
+// every response read in order.
+func setupHotpathWirePipelined(cfg Config, n int) (func() error, func(), error) {
+	conn, teardown, err := startHotpathWire(cfg, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed + 29))
+	p := conn.Pipeline()
+	op := func() error {
+		for i := 0; i < hotpathPipelineDepth; i++ {
+			p.Point("hot", 0, float64(rng.Intn(n)))
+		}
+		results, err := p.Flush()
+		if err != nil {
+			return err
+		}
+		for _, r := range results {
+			if r.Err != nil {
+				return r.Err
+			}
+			if len(r.Rows) != 1 {
+				return fmt.Errorf("pipelined point read matched %d rows, want 1", len(r.Rows))
+			}
+		}
+		return nil
 	}
 	return op, teardown, nil
 }
@@ -388,7 +477,7 @@ func RunHotpath(cfg Config) error {
 		Caveat:     hotpathCaveat,
 	}
 
-	fmt.Fprintf(cfg.Out, "\n%-18s %6s %10s %12s %12s %12s %14s\n",
+	fmt.Fprintf(cfg.Out, "\n%-20s %6s %10s %12s %12s %12s %14s\n",
 		"workload", "procs", "ops", "ns/op", "allocs/op", "B/op", "throughput")
 	for _, w := range hotpathWorkloads() {
 		op, teardown, err := w.setup(cfg, n)
@@ -403,8 +492,11 @@ func RunHotpath(cfg Config) error {
 				teardown()
 				return fmt.Errorf("hotpath %s@%d: %w", w.name, procs, err)
 			}
+			if w.name == "wire_pipelined" {
+				lane.PipelineDepth = hotpathPipelineDepth
+			}
 			rep.Lanes = append(rep.Lanes, lane)
-			fmt.Fprintf(cfg.Out, "%-18s %6d %10d %12.0f %12.2f %12.1f %14s\n",
+			fmt.Fprintf(cfg.Out, "%-20s %6d %10d %12.0f %12.2f %12.1f %14s\n",
 				lane.Workload, lane.GOMAXPROCS, lane.Ops, lane.NsPerOp,
 				lane.AllocsPerOp, lane.BytesPerOp, fmtKops(lane.OpsPerSec))
 		}

@@ -15,7 +15,6 @@ package btree
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -260,47 +259,6 @@ func (t *Tree) First(key float64) (uint64, bool) {
 		return false
 	})
 	return id, found
-}
-
-// Min returns the smallest key, with ok=false for an empty tree.
-func (t *Tree) Min() (float64, bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	for n != nil {
-		if len(n.keys) > 0 {
-			return n.keys[0], true
-		}
-		n = n.next
-	}
-	return 0, false
-}
-
-// Max returns the largest key, with ok=false for an empty tree.
-func (t *Tree) Max() (float64, bool) {
-	if t.size == 0 {
-		return 0, false
-	}
-	best := math.Inf(-1)
-	found := false
-	// Rightmost descent can land on an emptied leaf after lazy deletes, so
-	// fall back to checking the rightmost non-empty leaf reachable by the
-	// sibling chain from the rightmost path.
-	n := t.root
-	for !n.leaf {
-		n = n.children[len(n.children)-1]
-	}
-	if len(n.keys) > 0 {
-		return n.keys[len(n.keys)-1], true
-	}
-	// Rare path: scan everything.
-	t.Scan(math.Inf(-1), math.Inf(1), func(k float64, _ uint64) bool {
-		best = k
-		found = true
-		return true
-	})
-	return best, found
 }
 
 // BulkLoad replaces the tree contents with the given entries, which must be

@@ -13,12 +13,6 @@ func TestEmpty(t *testing.T) {
 	if tr.Len() != 0 || tr.Height() != 1 {
 		t.Fatalf("len=%d h=%d", tr.Len(), tr.Height())
 	}
-	if _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty")
-	}
-	if _, ok := tr.Max(); ok {
-		t.Fatal("Max on empty")
-	}
 	called := false
 	tr.Scan(0, 100, func(float64, uint64) bool { called = true; return true })
 	if called {
@@ -117,19 +111,6 @@ func TestDelete(t *testing.T) {
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	tr := New(DefaultOrder)
-	for _, k := range []float64{5, -2, 8, 3} {
-		tr.Insert(k, 1)
-	}
-	if mn, ok := tr.Min(); !ok || mn != -2 {
-		t.Fatalf("min=%v", mn)
-	}
-	if mx, ok := tr.Max(); !ok || mx != 8 {
-		t.Fatalf("max=%v", mx)
 	}
 }
 

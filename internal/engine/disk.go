@@ -1,11 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"slices"
-	"sort"
 	"time"
 
 	"hermit/internal/hermit"
@@ -107,11 +107,12 @@ func (t *DiskTable) CreateDiskBTreeIndex(col int) (*pager.DiskTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].k != entries[b].k {
-			return entries[a].k < entries[b].k
+	// cmp.Compare order (NaN first), the order the disk tree keeps.
+	slices.SortFunc(entries, func(a, b entry) int {
+		if c := cmp.Compare(a.k, b.k); c != 0 {
+			return c
 		}
-		return entries[a].v < entries[b].v
+		return cmp.Compare(a.v, b.v)
 	})
 	keys := make([]float64, len(entries))
 	ids := make([]uint64, len(entries))
@@ -167,7 +168,9 @@ func (t *DiskTable) CreateDiskHermitIndex(col, hostCol int, params trstree.Param
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
+	if !ok || lo > hi {
+		// Empty table, or only NaN targets: any range works; inserts
+		// extend it through the edge leaves.
 		lo, hi = 0, 1
 	}
 	tree, err := trstree.Build(pairs, lo, hi, params)
@@ -185,6 +188,10 @@ func (t *DiskTable) CreateDiskHermitIndex(col, hostCol int, params trstree.Param
 func (t *DiskTable) RangeQuery(col int, lo, hi float64) ([]pager.HeapRID, QueryStats, error) {
 	if col < 0 || col >= len(t.cols) {
 		return nil, QueryStats{}, ErrNoSuchColumn
+	}
+	if !(lo <= hi) {
+		// An inverted predicate, or one with a NaN bound, matches no row.
+		return nil, QueryStats{}, nil
 	}
 	if hx, ok := t.hermits[col]; ok {
 		return hx.lookup(lo, hi)

@@ -212,3 +212,81 @@ func TestDiskTinyPoolStillCorrect(t *testing.T) {
 		t.Fatal("expected evictions with 4-frame pool")
 	}
 }
+
+// TestDiskNaNKeys: NaN values in indexed columns sort first on disk, as
+// they do in memory, so no range — B+-tree, Hermit or heap scan — returns
+// a NaN row, and a NaN or inverted bound matches nothing without
+// touching an index.
+func TestDiskNaNKeys(t *testing.T) {
+	dt, err := OpenDiskTable(t.TempDir(), []string{"pk", "host", "target"}, 0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dt.Close()
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		host := rng.Float64() * 1000
+		target := (host - 100) / 2
+		if rng.Float64() < 0.02 {
+			host = math.NaN()
+		}
+		if rng.Float64() < 0.02 {
+			target = math.NaN()
+		}
+		if _, err := dt.Insert([]float64{float64(i), host, target}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := dt.CreateDiskBTreeIndex(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dt.CreateDiskHermitIndex(2, 1, trstree.DefaultParams()); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct {
+		col    int
+		lo, hi float64
+	}{
+		{1, 0, 1e9}, {1, math.Inf(-1), math.Inf(1)}, {1, 200, 300},
+		{2, -1e9, 1e9}, {2, math.Inf(-1), math.Inf(1)}, {2, 10, 60},
+	} {
+		want := diskExpected(t, dt, q.col, q.lo, q.hi)
+		got, _, err := dt.RangeQuery(q.col, q.lo, q.hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameHeapRIDs(got, want) {
+			t.Fatalf("col %d [%g, %g]: got %d rows, want %d", q.col, q.lo, q.hi, len(got), len(want))
+		}
+	}
+	for _, col := range []int{1, 2} {
+		for _, b := range [][2]float64{{math.NaN(), 1e9}, {0, math.NaN()}, {5, 4}} {
+			got, st, err := dt.RangeQuery(col, b[0], b[1])
+			if err != nil || len(got) != 0 || st.Candidates != 0 {
+				t.Fatalf("col %d [%g, %g]: %d rows, %d candidates, err %v; want none",
+					col, b[0], b[1], len(got), st.Candidates, err)
+			}
+		}
+	}
+
+	// A Hermit index over a column holding only NaN still builds.
+	nt, err := OpenDiskTable(t.TempDir(), []string{"pk", "host", "target"}, 0, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nt.Close()
+	for i := 0; i < 50; i++ {
+		if _, err := nt.Insert([]float64{float64(i), float64(i), math.NaN()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := nt.CreateDiskBTreeIndex(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nt.CreateDiskHermitIndex(2, 1, trstree.DefaultParams()); err != nil {
+		t.Fatalf("hermit over an all-NaN column: %v", err)
+	}
+	if got, _, err := nt.RangeQuery(2, math.Inf(-1), math.Inf(1)); err != nil || len(got) != 0 {
+		t.Fatalf("all-NaN column: %d rows, err %v; want none", len(got), err)
+	}
+}

@@ -139,12 +139,19 @@ func (t *DiskTree) allocNode(n *dnode) (PageID, error) {
 	return id, nil
 }
 
+// dcmp orders composite (key, id) entries. Keys follow cmp.Compare order,
+// as the in-memory B+-tree's do: a NaN key sorts before every other key,
+// so range scans, which seek to lo, never reach NaN entries.
 func dcmp(k1 float64, v1 uint64, k2 float64, v2 uint64) int {
 	switch {
 	case k1 < k2:
 		return -1
 	case k1 > k2:
 		return 1
+	case k1 == k1 && k2 != k2: // only k2 is NaN
+		return 1
+	case k1 != k1 && k2 == k2: // only k1 is NaN
+		return -1
 	case v1 < v2:
 		return -1
 	case v1 > v2:
@@ -295,7 +302,7 @@ func (t *DiskTree) Delete(key float64, id uint64) (bool, error) {
 
 // Scan calls fn for every entry with lo <= key <= hi in ascending order.
 func (t *DiskTree) Scan(lo, hi float64, fn func(key float64, id uint64) bool) error {
-	if lo > hi {
+	if !(lo <= hi) { // also refuses NaN bounds
 		return nil
 	}
 	nid := t.rootID

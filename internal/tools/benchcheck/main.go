@@ -7,9 +7,12 @@
 // additionally pins the expected GOMAXPROCS.
 //
 // BENCH_scenarios.json gets deeper validation: at least four scenarios,
-// each with a spec hash, matching trace_hash and trace_hash_recheck (the
-// compile-determinism proof), and per-phase quantiles present and
-// ordered p50 <= p99 <= p999.
+// at least one of them replayed over the wire, each with a spec hash,
+// matching trace_hash and trace_hash_recheck (the compile-determinism
+// proof), and per-phase quantiles present and ordered p50 <= p99 <= p999.
+// BENCH_hotpath.json must record complete lanes at GOMAXPROCS 1 and 4
+// for every workload, including each pair whose difference is a layer's
+// cost (see hotpathPairs).
 //
 // Usage:
 //
@@ -123,6 +126,8 @@ type hotpathArtifact struct {
 		NsPerOp     *float64 `json:"ns_per_op"`
 		AllocsPerOp *float64 `json:"allocs_per_op"`
 		OpsPerSec   *float64 `json:"ops_per_sec"`
+		// PipelineDepth is the reads per op of a pipelined lane.
+		PipelineDepth int `json:"pipeline_depth"`
 	} `json:"lanes"`
 }
 
@@ -130,10 +135,24 @@ type hotpathArtifact struct {
 // record a lane for — the single-core number and the multi-core proof.
 var hotpathLaneProcs = []int{1, 4}
 
+// hotpathPairs are the workload pairs whose difference is one layer's
+// cost; both sides of each must be recorded:
+//   - range_scan − snapshot_range: per-query snapshot registration;
+//   - partitioned_scan_n1 vs range_scan and vs partitioned_scan: the
+//     partition layer at one partition, and fan-out to four;
+//   - wire_point vs wire_pipelined per read: what pipelining saves.
+var hotpathPairs = [][2]string{
+	{"range_scan", "snapshot_range"},
+	{"range_scan", "partitioned_scan_n1"},
+	{"partitioned_scan_n1", "partitioned_scan"},
+	{"wire_point", "wire_pipelined"},
+}
+
 // checkHotpath enforces the hotpath artifact's extra contract: every
 // workload carries a complete measurement (ops, ns/op, allocs/op,
-// throughput) at both GOMAXPROCS lanes, so allocation regressions and
-// multi-core claims are both checkable from the stored artifact.
+// throughput) at both GOMAXPROCS lanes, and every layer-cost pair is
+// present, so allocation regressions, multi-core claims and per-layer
+// costs are all checkable from the stored artifact.
 func checkHotpath(raw []byte) error {
 	var ha hotpathArtifact
 	if err := json.Unmarshal(raw, &ha); err != nil {
@@ -162,6 +181,9 @@ func checkHotpath(raw []byte) error {
 		if l.OpsPerSec == nil || *l.OpsPerSec <= 0 {
 			return fmt.Errorf("%s@%d: missing ops_per_sec", l.Workload, l.GOMAXPROCS)
 		}
+		if l.Workload == "wire_pipelined" && l.PipelineDepth <= 0 { // per-read cost needs the depth
+			return fmt.Errorf("%s@%d: missing pipeline_depth", l.Workload, l.GOMAXPROCS)
+		}
 		if procsSeen[l.Workload] == nil {
 			procsSeen[l.Workload] = map[int]bool{}
 		}
@@ -171,6 +193,13 @@ func checkHotpath(raw []byte) error {
 		for _, p := range hotpathLaneProcs {
 			if !seen[p] {
 				return fmt.Errorf("%s: no GOMAXPROCS=%d lane (multi-core numbers must be recorded)", w, p)
+			}
+		}
+	}
+	for _, pair := range hotpathPairs {
+		for _, w := range pair {
+			if procsSeen[w] == nil {
+				return fmt.Errorf("no %s lane (%s vs %s is a recorded layer cost)", w, pair[0], pair[1])
 			}
 		}
 	}
@@ -197,8 +226,9 @@ type scenariosArtifact struct {
 }
 
 // checkScenarios enforces the scenario artifact's extra contract: the
-// canned-spec coverage floor, the trace-hash determinism proof, and
-// complete, ordered tail quantiles per phase.
+// canned-spec coverage floor, a served (wire-target) replay, the
+// trace-hash determinism proof, and complete, ordered tail quantiles per
+// phase.
 func checkScenarios(raw []byte) error {
 	var sa scenariosArtifact
 	if err := json.Unmarshal(raw, &sa); err != nil {
@@ -207,7 +237,9 @@ func checkScenarios(raw []byte) error {
 	if len(sa.Scenarios) < 4 {
 		return fmt.Errorf("only %d scenarios recorded, want >= 4", len(sa.Scenarios))
 	}
+	wire := false
 	for _, s := range sa.Scenarios {
+		wire = wire || s.Target == "wire"
 		if s.Name == "" || s.Target == "" {
 			return fmt.Errorf("scenario with empty name/target")
 		}
@@ -233,6 +265,9 @@ func checkScenarios(raw []byte) error {
 					s.Name, ph.Name, *ph.P50Micros, *ph.P99Micros, *ph.P999Micros)
 			}
 		}
+	}
+	if !wire {
+		return fmt.Errorf("no scenario replayed over the wire (target \"wire\")")
 	}
 	return nil
 }
